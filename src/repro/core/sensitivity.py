@@ -1,8 +1,8 @@
 """Capacity sensitivity analysis via LP duality.
 
 The single-source LP (9)-(14) prices its constraints: the dual value of
-the capacity row ``cap[t]`` is ``d Z* / d cap(v_t)`` — how much the
-delay lower bound would drop per unit of extra capacity at node ``v_t``.
+node ``v``'s capacity row (12) is ``d Z* / d cap(v)`` — how much the
+delay lower bound would drop per unit of extra capacity at ``v``.
 Operators read this as a *provisioning signal*: the most negative shadow
 prices mark the nodes where adding capacity buys the most delay.
 
@@ -18,7 +18,7 @@ from ..exceptions import SolverError
 from ..network.graph import Network, Node
 from ..quorums.base import QuorumSystem
 from ..quorums.strategy import AccessStrategy
-from .ssqpp import build_ssqpp_lp
+from .ssqpp import SSQPPLPFactory
 
 __all__ = ["CapacitySensitivity", "capacity_sensitivity"]
 
@@ -61,20 +61,12 @@ def capacity_sensitivity(
     lp_method: str = "highs",
 ) -> CapacitySensitivity:
     """Solve the single-source LP and price every capacity constraint."""
-    model, _, _, ordered_nodes, _ = build_ssqpp_lp(
-        system, strategy, network, source
-    )
+    factory = SSQPPLPFactory(system, strategy, network)
+    model = factory.attach(source)[0]
     solution = model.solve(method=lp_method)
     if solution.constraint_duals is None:
         raise SolverError("the LP backend reported no dual values")
-
-    prices: dict[Node, float] = {}
-    for constraint in model._constraints:
-        name = constraint.name
-        if not name.startswith("cap["):
-            continue
-        t = int(name[4:-1])
-        prices[ordered_nodes[t]] = solution.dual_of(constraint)
     return CapacitySensitivity(
-        lp_value=float(solution.objective), shadow_prices=prices
+        lp_value=float(solution.objective),
+        shadow_prices=factory.capacity_duals(solution),
     )

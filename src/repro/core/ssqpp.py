@@ -33,6 +33,7 @@ bounds, so callers (and benchmarks) can check Theorem 3.7 mechanically:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,9 @@ from ..obs.trace import span
 from ..gap.instance import GAPInstance
 from ..gap.lp import FractionalAssignment
 from ..gap.rounding import round_fractional_assignment
-from ..lp import Model
+from ..lp import LinExpr, Model, Solution, Variable
 from ..network.graph import Network, Node
-from ..quorums.base import Element, QuorumSystem
+from ..quorums.base import QuorumSystem
 from ..quorums.strategy import AccessStrategy
 from .placement import Placement, expected_max_delay, node_loads
 
@@ -99,8 +100,58 @@ class SSQPPResult:
         )
 
 
-def _supported_quorums(strategy: AccessStrategy) -> list[int]:
-    return list(strategy.support())
+class _VariableGrid(Mapping):
+    """Read-only ``{(rank, key): Variable}`` view of a column table.
+
+    ``columns[t, j]`` is the model column of the variable for distance
+    rank ``t`` and the ``j``-th key, or ``-1`` where the LP has none.
+    The variables themselves are only built when first read: the solver
+    reads its solution through ``columns`` and never needs them.
+    """
+
+    def __init__(self, columns: np.ndarray, keys: tuple, name: str) -> None:
+        self.columns = columns
+        self._keys = keys
+        self._name = name
+        self._variables: dict | None = None
+
+    def _table(self) -> dict:
+        if self._variables is None:
+            ranks, slots = np.nonzero(self.columns >= 0)
+            self._variables = {
+                (t, self._keys[j]): Variable(
+                    int(self.columns[t, j]), f"{self._name}[{t},{self._keys[j]!r}]"
+                )
+                for t, j in zip(ranks.tolist(), slots.tolist())
+            }
+        return self._variables
+
+    def __getitem__(self, key: tuple) -> Variable:
+        return self._table()[key]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._table())
+
+
+def _chain_entries(running: np.ndarray, steps: np.ndarray):
+    """COO entries of the rows ``running[k, t] - running[k, t-1] - steps[k, t] == 0``.
+
+    Row ``k * n + t`` for each chain ``k`` and rank ``t``; the
+    ``running[k, -1]`` term is absent at ``t = 0``, and so is the step
+    where ``steps[k, t]`` is ``-1``.
+    """
+    chains, n = running.shape
+    row_ids = np.arange(chains * n).reshape(chains, n)
+    stepped = steps >= 0
+    rows = np.concatenate([row_ids.ravel(), row_ids[:, 1:].ravel(), row_ids[stepped]])
+    cols = np.concatenate([running.ravel(), running[:, :-1].ravel(), steps[stepped]])
+    data = np.concatenate(
+        [np.ones(chains * n), -np.ones(chains * (n - 1)), -np.ones(int(stepped.sum()))]
+    )
+    return rows, cols, data
 
 
 class SSQPPLPFactory:
@@ -117,6 +168,11 @@ class SSQPPLPFactory:
     :meth:`release` rolls the model back so the next candidate reuses
     the base.  This turns :func:`repro.core.qpp.solve_qpp`'s sweep from
     a quadratic rebuild into an incremental re-fill.
+
+    Every row is emitted as numpy coordinate arrays
+    (:meth:`repro.lp.Model.add_rows`) from one node-by-element table of
+    assignment columns built here; :meth:`attach` permutes that table
+    into distance order and the solution is read back through it.
 
     One factory serves one ``(system, strategy, network, formulation)``
     combination; at most one source can be attached at a time.
@@ -164,64 +220,77 @@ class SSQPPLPFactory:
                 raise ValidationError("placement_nodes must not be empty")
             if len(set(self._domain)) != len(self._domain):
                 raise ValidationError("placement_nodes contains duplicates")
-            for node in self._domain:
-                network.node_index(node)
             domain_nodes = self._domain
-        self._support = _supported_quorums(strategy)
+        self._domain_indices = np.array(
+            [network.node_index(node) for node in domain_nodes], dtype=np.intp
+        )
         universe = system.universe
-        self._loads = {u: strategy.load(u) for u in universe}
+        support = tuple(strategy.support())
+        self._support = support
+        self._probabilities = np.array([strategy.probability(q) for q in support])
+        # One (support slot, element slot) pair per row group of (14), in
+        # universe order within each quorum: frozenset iteration order
+        # varies with insertion history (and across pickle round-trips),
+        # and the LP row order it would induce perturbs solver pivoting
+        # at the last ulp — breaking serial/parallel result identity.
+        pairs = [
+            (k, system.element_index(u))
+            for k, q in enumerate(support)
+            for u in sorted(system.quorums[q], key=system.element_index)
+        ]
+        self._pair_quorums = np.array([k for k, _ in pairs], dtype=np.intp)
+        self._pair_elements = np.array([j for _, j in pairs], dtype=np.intp)
 
-        capacities = {node: network.capacity(node) for node in domain_nodes}
-        for u in universe:
-            if self._loads[u] > _ZERO and not any(
-                self._loads[u] <= cap + _ZERO for cap in capacities.values()
-            ):
-                raise InfeasibleError(
-                    f"element {u!r} has load {self._loads[u]:.4f} exceeding "
-                    "every node capacity"
-                )
+        loads = strategy.load_array()
+        capacities = np.array([network.capacity(node) for node in domain_nodes])
+        # (13): element u may sit on node v only if load(u) <= cap(v).
+        fits = loads[None, :] <= capacities[:, None] + _ZERO
+        overloaded = (loads > _ZERO) & ~fits.any(axis=0)
+        if overloaded.any():
+            j = int(np.argmax(overloaded))
+            raise InfeasibleError(
+                f"element {universe[j]!r} has load {loads[j]:.4f} exceeding "
+                "every node capacity"
+            )
 
         model = Model(name="ssqpp-lp")
         # Assignment variables keyed by *node* (not by distance rank), so
-        # they are shared by every candidate source.  Pairs with
-        # load(u) > cap(v) are fixed to zero by constraint (13), i.e.
-        # simply omitted.
-        self._x_by_node: dict[tuple[Node, Element], object] = {}
-        element_vars: dict[Element, list] = {u: [] for u in universe}
-        for node in domain_nodes:
-            cap = capacities[node]
-            for u in universe:
-                if self._loads[u] <= cap + _ZERO:
-                    variable = model.variable(f"x[{node!r},{u!r}]", lb=0.0, ub=1.0)
-                    self._x_by_node[(node, u)] = variable
-                    element_vars[u].append(variable)
+        # they are shared by every candidate source: the node-by-element
+        # column table, -1 for the pairs (13) drops.
+        self._columns = np.full(fits.shape, -1, dtype=np.intp)
+        self._columns[fits] = model.add_variables(
+            int(fits.sum()), lb=0.0, ub=1.0, name="x"
+        )
 
         # (10): every element placed exactly once.
-        for u in universe:
-            terms = element_vars[u]
-            if not terms:
-                raise InfeasibleError(f"element {u!r} fits on no node")
-            expr = terms[0].to_expr()
-            for variable in terms[1:]:
-                expr = expr + variable
-            model.add_constraint(expr == 1, name=f"place[{u!r}]")
+        by_element = self._columns.T
+        placed = by_element >= 0
+        model.add_rows(
+            np.nonzero(placed)[0],
+            by_element[placed],
+            np.ones(int(placed.sum())),
+            np.ones(len(universe)),
+            "==",
+            name="place",
+        )
 
         # (12): fractional load within capacity (vacuous for uncapacitated
-        # nodes, so those constraints are omitted).
-        for node in domain_nodes:
-            if not math.isfinite(capacities[node]):
-                continue
-            terms = [
-                (self._x_by_node[(node, u)], self._loads[u])
-                for u in universe
-                if (node, u) in self._x_by_node and self._loads[u] > 0
-            ]
-            if not terms:
-                continue
-            expr = terms[0][0] * terms[0][1]
-            for variable, coefficient in terms[1:]:
-                expr = expr + variable * coefficient
-            model.add_constraint(expr <= capacities[node], name=f"cap[{node!r}]")
+        # nodes and for nodes that can host no loaded element, so those
+        # rows are omitted).
+        carries = fits & (loads > 0)[None, :] & np.isfinite(capacities)[:, None]
+        capped = carries.any(axis=1)
+        node_rows, elements = np.nonzero(carries[capped])
+        self._capacity_nodes = tuple(
+            node for node, kept in zip(domain_nodes, capped.tolist()) if kept
+        )
+        self._capacity_rows = model.add_rows(
+            node_rows,
+            self._columns[capped][carries[capped]],
+            loads[elements],
+            capacities[capped],
+            "<=",
+            name="cap",
+        )
 
         self._model = model
         self._base = model.checkpoint()
@@ -255,6 +324,16 @@ class SSQPPLPFactory:
         """The restricted placement domain, or ``None`` for the whole network."""
         return self._domain
 
+    def capacity_duals(self, solution: Solution) -> dict[Node, float]:
+        """Shadow price ``d Z* / d cap(v)`` of every capacity row (12).
+
+        Keyed by node, in placement-domain order; nodes without a
+        capacity row (uncapacitated, or hosting no loaded element) are
+        absent.  *solution* must come from this factory's model.
+        """
+        prices = solution.block_duals(self._capacity_rows).tolist()
+        return dict(zip(self._capacity_nodes, prices))
+
     def matches(
         self,
         system: QuorumSystem,
@@ -283,143 +362,117 @@ class SSQPPLPFactory:
         Returns ``(model, x_element, x_quorum, ordered_nodes, distances)``
         in :func:`build_ssqpp_lp`'s format: ``x_element[(t, u)]`` maps the
         §3.3 rank ``t`` (``ordered_nodes[t]`` is the ``t``-th closest node
-        to the source) back to the shared node-keyed variable.  Call
-        :meth:`release` before attaching the next candidate.
+        to the source) back to the shared node-keyed variable.  Both maps
+        are read-only views whose ``columns`` attribute is the
+        rank-by-element (rank-by-support-quorum) table of model columns,
+        ``-1`` where a variable is absent.  Call :meth:`release` before
+        attaching the next candidate.
         """
         require(
             not self._attached,
             "factory already has an attached source; call release() first",
         )
         self._network.node_index(source)
-        system, strategy, model = self._system, self._strategy, self._model
-        support = self._support
-        if self._domain is None:
-            ordered_nodes = self._metric.nodes_by_distance(source)
-            distances = [
-                self._metric.distance(source, node) for node in ordered_nodes
-            ]
-        else:
-            # Rank only the restricted domain by distance from the source,
-            # tie-broken by node index exactly like nodes_by_distance.
-            row = self._metric.distances_from(source)
-            all_nodes = self._network.nodes
-            indices = np.fromiter(
-                (self._network.node_index(node) for node in self._domain),
-                dtype=np.intp,
-                count=len(self._domain),
-            )
-            order = indices[np.lexsort((indices, row[indices]))]
-            ordered_nodes = [all_nodes[int(i)] for i in order]
-            distances = [float(row[int(i)]) for i in order]
-        n = len(ordered_nodes)
-        x_element: dict[tuple[int, Element], object] = {
-            (t, u): self._x_by_node[(node, u)]
-            for t, node in enumerate(ordered_nodes)
-            for u in system.universe
-            if (node, u) in self._x_by_node
-        }
+        model = self._model
+        # Rank the placement domain by distance from the source, ties
+        # broken by node index (the order of Metric.nodes_by_distance).
+        row = self._metric.distances_from(source)
+        indices = self._domain_indices
+        ranking = np.lexsort((indices, row[indices]))
+        order = indices[ranking]
+        all_nodes = self._network.nodes
+        ordered_nodes = [all_nodes[i] for i in order.tolist()]
+        ranked = row[order]
+        distances = ranked.tolist()
+        n = len(order)
+        # The shared node-keyed assignment columns, in distance order.
+        x_columns = self._columns[ranking]
         self._attached = True
 
-        x_quorum: dict[tuple[int, int], object] = {}
-        for t in range(n):
-            for q in support:
-                x_quorum[(t, q)] = model.variable(f"xQ[{t},{q}]", lb=0.0, ub=1.0)
+        support = self._support
+        xq = model.add_variables(n * len(support), lb=0.0, ub=1.0, name="xQ")
+        xq = xq.reshape(n, len(support))
 
         # (11): every supported quorum completed at exactly one prefix length.
-        for q in support:
-            expr = x_quorum[(0, q)].to_expr()
-            for t in range(1, n):
-                expr = expr + x_quorum[(t, q)]
-            model.add_constraint(expr == 1, name=f"complete[{q}]")
+        model.add_rows(
+            np.repeat(np.arange(len(support)), n),
+            xq.T.ravel(),
+            np.ones(xq.size),
+            np.ones(len(support)),
+            "==",
+            name="complete",
+        )
 
-        # (14): prefix consistency — a quorum cannot finish before its members.
+        # (14): prefix consistency — a quorum cannot finish before its
+        # members.  Row (p, t) for the p-th (quorum q, member u) pair.
+        pair_quorums, pair_elements = self._pair_quorums, self._pair_elements
+        pairs = len(pair_quorums)
         if self._formulation == "prefix":
-            for q in support:
-                # Universe order, not set order: frozenset iteration
-                # order varies with insertion history (and across pickle
-                # round-trips), and the LP row order it would induce
-                # perturbs solver pivoting at the last ulp — breaking
-                # serial/parallel result identity.
-                quorum = sorted(system.quorums[q], key=system.element_index)
-                for u in quorum:
-                    quorum_prefix = None
-                    element_prefix = None
-                    for t in range(n):
-                        quorum_prefix = (
-                            x_quorum[(t, q)].to_expr()
-                            if quorum_prefix is None
-                            else quorum_prefix + x_quorum[(t, q)]
-                        )
-                        if (t, u) in x_element:
-                            element_prefix = (
-                                x_element[(t, u)].to_expr()
-                                if element_prefix is None
-                                else element_prefix + x_element[(t, u)]
-                            )
-                        if element_prefix is None:
-                            # No placement of u at distance <= d_t: quorum q
-                            # cannot complete within the first t+1 nodes either.
-                            model.add_constraint(
-                                quorum_prefix <= 0, name=f"prefix[{q},{u!r},{t}]"
-                            )
-                        else:
-                            model.add_constraint(
-                                quorum_prefix - element_prefix <= 0,
-                                name=f"prefix[{q},{u!r},{t}]",
-                            )
+            # sum_{s<=t} xQ[s, q] - sum_{s<=t} x[s, u] <= 0: a
+            # lower-triangular pattern over ranks s <= t per pair; a rank
+            # where u cannot sit contributes no element term.
+            t_rows, s_cols = np.tril_indices(n)
+            pair_rows = np.arange(pairs)[:, None] * n + t_rows
+            quorum_cols = xq[s_cols[None, :], pair_quorums[:, None]]
+            element_cols = x_columns[s_cols[None, :], pair_elements[:, None]]
+            present = element_cols >= 0
+            model.add_rows(
+                np.concatenate([pair_rows.ravel(), pair_rows[present]]),
+                np.concatenate([quorum_cols.ravel(), element_cols[present]]),
+                np.concatenate(
+                    [np.ones(quorum_cols.size), -np.ones(int(present.sum()))]
+                ),
+                np.zeros(pairs * n),
+                "<=",
+                name="prefix",
+            )
         else:
             # Cumulative variables: cum_t = cum_{t-1} + x_t, one chain per
             # element and per supported quorum; (14) becomes 2-term rows.
             # The chains follow the distance ranks, so they are rebuilt per
             # candidate (only the node-keyed base is rank-free).
-            element_cumulative: dict[Element, list] = {}
-            for u in system.universe:
-                chain = []
-                previous = None
-                for t in range(n):
-                    cum = model.variable(f"cum[{t},{u!r}]", lb=0.0, ub=1.0)
-                    terms = cum.to_expr()
-                    if previous is not None:
-                        terms = terms - previous
-                    if (t, u) in x_element:
-                        terms = terms - x_element[(t, u)]
-                    model.add_constraint(terms == 0, name=f"chain[{t},{u!r}]")
-                    chain.append(cum)
-                    previous = cum
-                element_cumulative[u] = chain
-            for q in support:
-                previous = None
-                chain_q = []
-                for t in range(n):
-                    cum = model.variable(f"cumQ[{t},{q}]", lb=0.0, ub=1.0)
-                    terms = cum.to_expr() - x_quorum[(t, q)]
-                    if previous is not None:
-                        terms = terms - previous
-                    model.add_constraint(terms == 0, name=f"chainQ[{t},{q}]")
-                    chain_q.append(cum)
-                    previous = cum
-                # Universe order for the same determinism reason as the
-                # prefix formulation above.
-                for u in sorted(system.quorums[q], key=system.element_index):
-                    for t in range(n):
-                        model.add_constraint(
-                            chain_q[t] - element_cumulative[u][t] <= 0,
-                            name=f"prefix[{q},{u!r},{t}]",
-                        )
+            universe_size = x_columns.shape[1]
+            cumulative = model.add_variables(
+                universe_size * n, lb=0.0, ub=1.0, name="cum"
+            ).reshape(universe_size, n)
+            model.add_rows(
+                *_chain_entries(cumulative, x_columns.T),
+                np.zeros(cumulative.size),
+                "==",
+                name="chain",
+            )
+            cumulative_q = model.add_variables(
+                len(support) * n, lb=0.0, ub=1.0, name="cumQ"
+            ).reshape(len(support), n)
+            model.add_rows(
+                *_chain_entries(cumulative_q, xq.T),
+                np.zeros(cumulative_q.size),
+                "==",
+                name="chainQ",
+            )
+            pair_rows = np.arange(pairs * n)
+            model.add_rows(
+                np.concatenate([pair_rows, pair_rows]),
+                np.concatenate(
+                    [
+                        cumulative_q[pair_quorums].ravel(),
+                        cumulative[pair_elements].ravel(),
+                    ]
+                ),
+                np.concatenate([np.ones(pairs * n), -np.ones(pairs * n)]),
+                np.zeros(pairs * n),
+                "<=",
+                name="prefix",
+            )
 
-        # (9): expected max-delay objective.
-        objective = None
-        for q in support:
-            probability = strategy.probability(q)
-            for t in range(n):
-                if distances[t] == 0:
-                    continue
-                term = x_quorum[(t, q)] * (probability * distances[t])
-                objective = term if objective is None else objective + term
-        if objective is None:
-            # Degenerate but legal: every supported quorum can sit at distance 0.
-            objective = next(iter(x_element.values())) * 0.0
-        model.minimize(objective)
+        # (9): expected max-delay objective; ranks at distance 0 cost nothing.
+        charged = ranked != 0
+        weights = ranked[charged][:, None] * self._probabilities[None, :]
+        model.minimize(
+            LinExpr(dict(zip(xq[charged].ravel().tolist(), weights.ravel().tolist())))
+        )
+        x_element = _VariableGrid(x_columns, self._system.universe, "x")
+        x_quorum = _VariableGrid(xq, support, "xQ")
         return model, x_element, x_quorum, ordered_nodes, distances
 
     def release(self) -> None:
@@ -596,12 +649,8 @@ def solve_ssqpp(
 
             universe = list(system.universe)
             n = len(ordered_nodes)
-            raw = np.zeros((n, len(universe)))
-            for j, u in enumerate(universe):
-                for t in range(n):
-                    variable = x_element.get((t, u))
-                    if variable is not None:
-                        raw[t, j] = max(solution.value(variable), 0.0)
+            columns = x_element.columns
+            raw = np.where(columns >= 0, np.maximum(solution.values[columns], 0.0), 0.0)
         finally:
             factory.release()
         with span("ssqpp.filter"):

@@ -6,11 +6,15 @@ Public surface:
   and constraints.
 * :class:`~repro.lp.model.Variable`, :class:`~repro.lp.model.LinExpr`,
   :class:`~repro.lp.model.Constraint` — the modeling primitives.
+* :meth:`~repro.lp.model.Model.add_variables` /
+  :meth:`~repro.lp.model.Model.add_rows` — bulk columns and COO rows;
+  the returned :class:`~repro.lp.model.RowBlock` reads back its duals
+  through :meth:`~repro.lp.solve.Solution.block_duals`.
 * :func:`~repro.lp.solve.solve_model` / :class:`~repro.lp.solve.Solution`
   — solving and reading back results.
 """
 
-from .model import Constraint, LinExpr, Model, ModelCheckpoint, Variable
+from .model import Constraint, LinExpr, Model, ModelCheckpoint, RowBlock, Variable
 from .solve import Solution, solve_model
 
 __all__ = [
@@ -18,6 +22,7 @@ __all__ = [
     "LinExpr",
     "Model",
     "ModelCheckpoint",
+    "RowBlock",
     "Variable",
     "Solution",
     "solve_model",

@@ -20,9 +20,12 @@ modeling language the rest of the package builds on:
 2.0
 
 The layer is deliberately small: continuous variables, linear expressions,
-``<=``/``>=``/``==`` constraints, and a single linear objective.  It
-compiles to sparse matrices so the quorum-placement LPs (which have tens of
-thousands of prefix constraints) stay cheap to build and solve.
+``<=``/``>=``/``==`` constraints, and a single linear objective.  Large
+structured LPs skip the expression objects altogether: :meth:`Model.add_variables`
+and :meth:`Model.add_rows` take whole blocks of columns and coordinate
+(COO) rows as numpy arrays, so the quorum-placement LPs (which have tens
+of thousands of prefix-constraint nonzeros) cost numpy time to build and
+compile, not Python-object time.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Union
 
+import numpy as np
+
 from .._validation import require
 from ..exceptions import ValidationError
 
-__all__ = ["Variable", "LinExpr", "Constraint", "Model", "ModelCheckpoint"]
+__all__ = ["Variable", "LinExpr", "Constraint", "RowBlock", "Model", "ModelCheckpoint"]
 
 Number = Union[int, float]
 
@@ -201,11 +206,40 @@ class Constraint:
         require(self.sense in ("<=", ">=", "=="), f"invalid constraint sense {self.sense!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """A block of constraints added in one call to :meth:`Model.add_rows`.
+
+    Row ``i`` of the block reads ``sum(data[k] * x[cols[k]]) (sense)
+    rhs[i]``, the sum running over the entries ``k`` with ``rows[k] ==
+    i``.  The block occupies constraint positions ``start ..
+    start + size - 1`` of its model, so the handle is also how
+    :meth:`repro.lp.solve.Solution.block_duals` finds the rows' shadow
+    prices.
+    """
+
+    name: str
+    sense: str
+    start: int
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of rows in the block."""
+        return len(self.rhs)
+
+
 @dataclass
 class _VariableRecord:
+    """``count`` consecutive variables sharing bounds (one for :meth:`Model.variable`)."""
+
     name: str
     lb: float
     ub: float
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -239,9 +273,11 @@ class Model:
 
     name: str = "model"
     _variables: list[_VariableRecord] = field(default_factory=list)
-    _constraints: list[Constraint] = field(default_factory=list)
+    _constraints: list[Constraint | RowBlock] = field(default_factory=list)
     _objective: LinExpr | None = None
     _sense: str = "min"
+    _num_variables: int = 0
+    _num_rows: int = 0
 
     # -- building ---------------------------------------------------------------
 
@@ -257,14 +293,34 @@ class Model:
             raise ValidationError(
                 f"variable {name!r}: lower bound {lb} exceeds upper bound {ub}"
             )
-        index = len(self._variables)
+        index = self._num_variables
         record = _VariableRecord(name or f"x{index}", float(lb), float(ub))
         self._variables.append(record)
+        self._num_variables += 1
         return Variable(index, record.name)
 
     def variables(self, count: int, prefix: str = "x", **bounds) -> list[Variable]:
         """Add *count* variables named ``{prefix}0 .. {prefix}{count-1}``."""
         return [self.variable(f"{prefix}{i}", **bounds) for i in range(count)]
+
+    def add_variables(
+        self, count: int, *, lb: float = 0.0, ub: float = math.inf, name: str = "x"
+    ) -> np.ndarray:
+        """Add *count* variables sharing the bounds ``lb <= x <= ub``.
+
+        Returns their column indices as an integer array, ready to index
+        the ``cols`` of :meth:`add_rows`.  Variable ``i`` of the block is
+        named ``{name}[i]`` (a block of one keeps the bare *name*).
+        """
+        require(count >= 0, f"variable count must be non-negative, got {count!r}")
+        if lb > ub:
+            raise ValidationError(
+                f"variables {name!r}: lower bound {lb} exceeds upper bound {ub}"
+            )
+        start = self._num_variables
+        self._variables.append(_VariableRecord(name, float(lb), float(ub), count))
+        self._num_variables += count
+        return np.arange(start, start + count)
 
     def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
         """Register a constraint built via expression comparison operators."""
@@ -277,7 +333,49 @@ class Model:
         if name:
             constraint.name = name
         self._constraints.append(constraint)
+        self._num_rows += 1
         return constraint
+
+    def add_rows(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        data: np.ndarray,
+        rhs: np.ndarray,
+        sense: str,
+        name: str = "",
+    ) -> RowBlock:
+        """Add ``len(rhs)`` constraints given as coordinate (COO) entries.
+
+        Entry ``k`` puts coefficient ``data[k]`` on variable ``cols[k]``
+        in row ``rows[k]`` of the block; row ``i`` then reads
+        ``sum(entries) (sense) rhs[i]``.  Duplicate ``(row, col)``
+        entries are summed.  Returns the :class:`RowBlock` handle.
+        """
+        require(sense in ("<=", ">=", "=="), f"invalid constraint sense {sense!r}")
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        data = np.asarray(data, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        one_dimensional = rows.ndim == cols.ndim == data.ndim == rhs.ndim == 1
+        if not (one_dimensional and len(rows) == len(cols) == len(data)):
+            raise ValidationError(
+                f"row block {name!r}: rows, cols, data and rhs must be 1-D, "
+                "with one row, column and coefficient per entry"
+            )
+        if len(rows) and (rows.min() < 0 or rows.max() >= len(rhs)):
+            raise ValidationError(
+                f"row block {name!r}: row indices must lie in [0, {len(rhs)})"
+            )
+        if len(cols) and (cols.min() < 0 or cols.max() >= self._num_variables):
+            raise ValidationError(
+                f"row block {name!r} references a column outside [0, "
+                f"{self._num_variables}) of model {self.name!r}"
+            )
+        block = RowBlock(name, sense, self._num_rows, rows, cols, data, rhs)
+        self._constraints.append(block)
+        self._num_rows += block.size
+        return block
 
     def minimize(self, objective: LinExpr | Variable) -> None:
         """Set a minimization objective."""
@@ -296,7 +394,7 @@ class Model:
         self._sense = sense
 
     def _check_indices(self, expr: LinExpr) -> None:
-        n = len(self._variables)
+        n = self._num_variables
         for index in expr.coefficients:
             if not 0 <= index < n:
                 raise ValidationError(
@@ -316,8 +414,8 @@ class Model:
         """
         objective = self._objective.copy() if self._objective is not None else None
         return ModelCheckpoint(
-            num_variables=len(self._variables),
-            num_constraints=len(self._constraints),
+            num_variables=self._num_variables,
+            num_constraints=self._num_rows,
             objective=objective,
             sense=self._sense,
         )
@@ -334,18 +432,21 @@ class Model:
             raise ValidationError(
                 f"rollback expects a ModelCheckpoint, got {mark!r}"
             )
-        if mark.num_variables > len(self._variables) or (
-            mark.num_constraints > len(self._constraints)
+        if mark.num_variables > self._num_variables or (
+            mark.num_constraints > self._num_rows
         ):
             raise ValidationError(
                 f"checkpoint ({mark.num_variables} variables, "
                 f"{mark.num_constraints} constraints) is ahead of model "
-                f"{self.name!r} ({len(self._variables)} variables, "
-                f"{len(self._constraints)} constraints); was it taken on "
+                f"{self.name!r} ({self._num_variables} variables, "
+                f"{self._num_rows} constraints); was it taken on "
                 "a different model?"
             )
-        del self._variables[mark.num_variables :]
-        del self._constraints[mark.num_constraints :]
+        while self._num_variables > mark.num_variables:
+            self._num_variables -= self._variables.pop().count
+        while self._num_rows > mark.num_constraints:
+            item = self._constraints.pop()
+            self._num_rows -= item.size if isinstance(item, RowBlock) else 1
         self._objective = mark.objective.copy() if mark.objective is not None else None
         self._sense = mark.sense
 
@@ -353,18 +454,29 @@ class Model:
 
     @property
     def num_variables(self) -> int:
-        return len(self._variables)
+        return self._num_variables
 
     @property
     def num_constraints(self) -> int:
-        return len(self._constraints)
+        """Number of constraint rows, bulk blocks counted row by row."""
+        return self._num_rows
 
     def variable_name(self, index: int) -> str:
-        return self._variables[index].name
+        start = 0
+        for record in self._variables:
+            if 0 <= index - start < record.count:
+                if record.count == 1:
+                    return record.name
+                return f"{record.name}[{index - start}]"
+            start += record.count
+        raise ValidationError(f"model {self.name!r} has no variable {index}")
 
     def bounds(self) -> list[tuple[float, float]]:
         """Bounds for every variable, in index order."""
-        return [(record.lb, record.ub) for record in self._variables]
+        bounds: list[tuple[float, float]] = []
+        for record in self._variables:
+            bounds += [(record.lb, record.ub)] * record.count
+        return bounds
 
     # -- solving -----------------------------------------------------------------
 

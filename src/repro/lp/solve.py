@@ -14,6 +14,7 @@ interface.  Two methods matter for this library:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -23,11 +24,15 @@ from .._validation import cost, raises
 from ..exceptions import InfeasibleError, SolverError, UnboundedError
 from ..obs.metrics import counter
 from ..obs.trace import span
-from .model import LinExpr, Model, Variable
+from .model import LinExpr, Model, RowBlock, Variable
 
 __all__ = ["Solution", "solve_model"]
 
 _SUPPORTED_METHODS = ("highs", "highs-ds", "highs-ipm")
+
+# Internal sign of each constraint sense: ">=" rows are negated into
+# "<=" rows, the other two keep their coefficients.
+_FLIP = {"<=": 1.0, ">=": -1.0, "==": 1.0}
 
 # Every LP in the library funnels through solve_model(), so these two
 # counters are the authoritative solver-effort telemetry (surfaced by
@@ -53,10 +58,11 @@ class Solution:
         Simplex/IPM iteration count reported by HiGHS, for diagnostics.
     constraint_duals:
         Dual values (shadow prices), one per constraint in the order they
-        were added to the model, sign-normalized to the model's sense:
-        the marginal change of the reported optimum per unit increase of
-        the constraint's right-hand side.  ``None`` when the backend did
-        not report duals.
+        were added to the model (a :class:`~repro.lp.model.RowBlock`
+        contributes its rows in block order), sign-normalized to the
+        model's sense: the marginal change of the reported optimum per
+        unit increase of the constraint's right-hand side.  ``None`` when
+        the backend did not report duals.
     """
 
     objective: float
@@ -82,6 +88,22 @@ class Solution:
             raise SolverError("the solver reported no dual values")
         return float(self.constraint_duals[index])
 
+    def block_duals(self, block: RowBlock) -> np.ndarray:
+        """Shadow prices of the rows of *block*, in block row order.
+
+        Requires the handle returned by
+        :meth:`repro.lp.model.Model.add_rows` on the solved model and
+        that the backend reported duals.
+        """
+        if self.constraint_duals is None:
+            raise SolverError("the solver reported no dual values")
+        if block.start + block.size > len(self.constraint_duals):
+            raise SolverError(
+                f"row block {block.name!r} does not belong to the model "
+                "that produced this solution"
+            )
+        return self.constraint_duals[block.start : block.start + block.size].copy()
+
     def value(self, variable: Variable) -> float:
         """The optimal value of *variable*."""
         return float(self.values[variable.index])
@@ -94,63 +116,95 @@ class Solution:
         )
 
 
-def _compile(model: Model):
-    """Build the (c, A_ub, b_ub, A_eq, b_eq, bounds) tuple for linprog."""
+class CompiledLP(NamedTuple):
+    """A model in :func:`scipy.optimize.linprog` form.
+
+    ``is_eq`` and ``flip`` map the model's constraint positions to the
+    internal rows: the equality rows, in position order, make up
+    ``a_eq``; the others, in position order, make up ``a_ub`` with
+    their coefficients multiplied by ``flip``.
+    """
+
+    c: np.ndarray
+    a_ub: sparse.csr_matrix | None
+    b_ub: np.ndarray | None
+    a_eq: sparse.csr_matrix | None
+    b_eq: np.ndarray | None
+    bounds: list[tuple[float, float]]
+    sign: float
+    is_eq: np.ndarray
+    flip: np.ndarray
+
+
+def _compile(model: Model) -> CompiledLP:
+    """Build the (c, A_ub, b_ub, A_eq, b_eq, bounds) input of linprog.
+
+    Every constraint becomes COO entries keyed by its position in the
+    model: a comparison-built :class:`~repro.lp.model.Constraint` is one
+    row ``expr (sense) 0``, and a bulk row ``A x (sense) rhs`` is read as
+    the expression ``A x - rhs``, so both normalize identically (a zero
+    right-hand side compiles to ``-0.0`` either way).  The entries are
+    concatenated once and split into the ``<=`` and ``==`` matrices by
+    vectorized position maps; the CSR conversion sorts each row, so the
+    order of entries within a row does not reach the solver.
+    """
     n = model.num_variables
-    c = np.zeros(n)
     objective = model._objective
     if objective is None:
         raise SolverError(f"model {model.name!r} has no objective; call minimize()/maximize()")
     sign = 1.0 if model._sense == "min" else -1.0
-    for index, coef in objective.coefficients.items():
-        c[index] = sign * coef
+    c = np.zeros(n)
+    terms = len(objective.coefficients)
+    c[np.fromiter(objective.coefficients, dtype=np.intp, count=terms)] = sign * np.fromiter(
+        objective.coefficients.values(), dtype=float, count=terms
+    )
 
-    ub_rows: list[int] = []
-    ub_cols: list[int] = []
-    ub_data: list[float] = []
-    b_ub: list[float] = []
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_data: list[float] = []
-    b_eq: list[float] = []
-
-    # Per added constraint: ("eq"|"ub", internal row, sign of d(rhs_internal)/d(rhs)).
-    dual_map: list[tuple[str, int, float]] = []
-    for position, constraint in enumerate(model._constraints):
-        constraint._dual_index = position
-        expr, sense = constraint.expr, constraint.sense
-        if sense == "==":
-            row = len(b_eq)
-            for index, coef in expr.coefficients.items():
-                eq_rows.append(row)
-                eq_cols.append(index)
-                eq_data.append(coef)
-            b_eq.append(-expr.constant)
-            dual_map.append(("eq", row, 1.0))
+    m = model.num_constraints
+    constants = np.empty(m)
+    flip = np.empty(m)
+    is_eq = np.empty(m, dtype=bool)
+    single_rows: list[int] = []
+    single_cols: list[int] = []
+    single_data: list[float] = []
+    row_parts, col_parts, data_parts = [], [], []
+    position = 0
+    for item in model._constraints:
+        if isinstance(item, RowBlock):
+            occupied = slice(position, position + item.size)
+            constants[occupied] = 0.0 - item.rhs
+            row_parts.append(position + item.rows)
+            col_parts.append(item.cols)
+            data_parts.append(item.data)
         else:
-            # Normalize `expr >= 0` to `-expr <= 0`.
-            flip = -1.0 if sense == ">=" else 1.0
-            row = len(b_ub)
-            for index, coef in expr.coefficients.items():
-                ub_rows.append(row)
-                ub_cols.append(index)
-                ub_data.append(flip * coef)
-            b_ub.append(-flip * expr.constant)
-            dual_map.append(("ub", row, flip))
+            occupied = slice(position, position + 1)
+            item._dual_index = position
+            coefficients = item.expr.coefficients
+            constants[position] = item.expr.constant
+            single_rows += [position] * len(coefficients)
+            single_cols += coefficients
+            single_data += coefficients.values()
+        flip[occupied] = _FLIP[item.sense]
+        is_eq[occupied] = item.sense == "=="
+        position = occupied.stop
+    rows = np.concatenate([np.array(single_rows, dtype=np.intp), *row_parts])
+    cols = np.concatenate([np.array(single_cols, dtype=np.intp), *col_parts])
+    data = flip[rows] * np.concatenate([np.array(single_data, dtype=float), *data_parts])
+    rhs = -flip * constants
 
-    a_ub = (
-        sparse.csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(len(b_ub), n))
-        if b_ub
-        else None
-    )
-    a_eq = (
-        sparse.csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n))
-        if b_eq
-        else None
-    )
-    return c, a_ub, (np.array(b_ub) if b_ub else None), a_eq, (
-        np.array(b_eq) if b_eq else None
-    ), model.bounds(), sign, dual_map
+    # A position's internal row is its rank among positions of its kind.
+    internal = np.where(is_eq, np.cumsum(is_eq), np.cumsum(~is_eq)) - 1
+    entry_eq = is_eq[rows]
+
+    def matrix(kind_rows: np.ndarray, kind_entries: np.ndarray):
+        count = int(kind_rows.sum())
+        if not count:
+            return None, None
+        coo = (data[kind_entries], (internal[rows[kind_entries]], cols[kind_entries]))
+        return sparse.csr_matrix(coo, shape=(count, n)), rhs[kind_rows]
+
+    a_ub, b_ub = matrix(~is_eq, ~entry_eq)
+    a_eq, b_eq = matrix(is_eq, entry_eq)
+    return CompiledLP(c, a_ub, b_ub, a_eq, b_eq, model.bounds(), sign, is_eq, flip)
 
 
 @cost("n**2 * q**2")
@@ -172,21 +226,26 @@ def solve_model(model: Model, method: str = "highs") -> Solution:
         raise SolverError(
             f"unsupported LP method {method!r}; expected one of {_SUPPORTED_METHODS}"
         )
-    c, a_ub, b_ub, a_eq, b_eq, bounds, sign, dual_map = _compile(model)
+    with span("lp.compile", model=model.name) as sp:
+        lp = _compile(model)
+        sp.set(
+            rows=model.num_constraints,
+            nonzeros=sum(a.nnz for a in (lp.a_ub, lp.a_eq) if a is not None),
+        )
     with span(
         "lp.solve",
         model=model.name,
         method=method,
         variables=model.num_variables,
-        constraints=len(model._constraints),
+        constraints=model.num_constraints,
     ) as sp:
         result = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
+            lp.c,
+            A_ub=lp.a_ub,
+            b_ub=lp.b_ub,
+            A_eq=lp.a_eq,
+            b_eq=lp.b_eq,
+            bounds=lp.bounds,
             method=method,
         )
         _LP_SOLVES.inc()
@@ -198,7 +257,7 @@ def solve_model(model: Model, method: str = "highs") -> Solution:
             raise SolverError(f"LP {model.name!r} failed: {result.message}")
         values = np.asarray(result.x, dtype=float)
         constant = model._objective.constant if model._objective is not None else 0.0
-        objective = sign * float(result.fun) + constant
+        objective = lp.sign * float(result.fun) + constant
         iterations = int(getattr(result, "nit", 0) or 0)
         _LP_ITERATIONS.inc(iterations)
         sp.set(iterations=iterations)
@@ -206,17 +265,22 @@ def solve_model(model: Model, method: str = "highs") -> Solution:
     # Normalize HiGHS marginals to per-added-constraint shadow prices in
     # the model's sense: d(objective)/d(rhs).  The internal problem is a
     # minimization of sign * objective; a ">=" constraint flips its rhs.
+    # Internal rows of each kind follow position order, so each kind's
+    # marginals scatter straight back onto its positions.
     constraint_duals: np.ndarray | None = None
     ub_marginals = getattr(getattr(result, "ineqlin", None), "marginals", None)
     eq_marginals = getattr(getattr(result, "eqlin", None), "marginals", None)
-    if dual_map and (ub_marginals is not None or eq_marginals is not None):
-        constraint_duals = np.zeros(len(dual_map))
-        for position, (kind, row, flip) in enumerate(dual_map):
-            source = eq_marginals if kind == "eq" else ub_marginals
-            if source is None:
-                constraint_duals = None
-                break
-            constraint_duals[position] = sign * flip * float(source[row])
+    is_eq = lp.is_eq
+    has_eq, has_ub = bool(is_eq.any()), not bool(is_eq.all())
+    if (has_eq or has_ub) and (eq_marginals is not None or not has_eq) and (
+        ub_marginals is not None or not has_ub
+    ):
+        marginals = np.empty(len(is_eq))
+        if has_eq:
+            marginals[is_eq] = eq_marginals
+        if has_ub:
+            marginals[~is_eq] = ub_marginals
+        constraint_duals = lp.sign * lp.flip * marginals
 
     return Solution(
         objective=objective,

@@ -138,6 +138,12 @@ class PlacementService:
             else {node: float(rates.get(node, 0.0)) for node in network.nodes}
         )
         self._delta: dict[Any, float] = {}
+        # Clients whose effective rate is positive.  Total demand stays
+        # positive while this is non-zero, so updates that would zero it
+        # are refused (O(1), exact) instead of failing the next drift check.
+        self._positive_clients = sum(
+            1 for rate in self._base_rates.values() if rate > 0.0
+        )
         self._pending_updates = 0
         self._ticks = 0
         self._queries = 0
@@ -325,7 +331,18 @@ class PlacementService:
 
     def _handle_update(self, document: Mapping[str, Any]) -> dict[str, Any]:
         node = self._resolve_client(document)
-        self._delta[node] = self._delta.get(node, 0.0) + float(document["rate"])
+        base = self._base_rates[node]
+        old_delta = self._delta.get(node, 0.0)
+        new_delta = old_delta + float(document["rate"])
+        # Effective rates clamp at zero: only the sign of base + delta counts.
+        change = int(base + new_delta > 0.0) - int(base + old_delta > 0.0)
+        require(
+            self._positive_clients + change > 0,
+            f"update of client {node!r} would leave no client with positive "
+            "demand; demand unchanged",
+        )
+        self._delta[node] = new_delta
+        self._positive_clients += change
         self._pending_updates += 1
         return self._response(document, "update", pending=self._pending_updates)
 

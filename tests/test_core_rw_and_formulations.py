@@ -14,6 +14,8 @@ from repro.core import (
 from repro.core.ssqpp import build_ssqpp_lp
 from repro.exceptions import ValidationError
 from repro.experiments import small_suite
+from repro.lp import RowBlock
+from repro.lp.solve import _compile
 from repro.network import random_geometric_network, uniform_capacities
 from repro.quorums import AccessStrategy, grid_rw, majority, read_one_write_all
 
@@ -111,11 +113,17 @@ class TestFormulations:
         )
 
         def max_prefix_row_terms(model):
-            return max(
-                len(c.expr.coefficients)
-                for c in model._constraints
-                if c.name.startswith("prefix[")
-            )
+            # The compiled rows of the "prefix" block (14): the block's
+            # constraint positions, mapped to their rows of A_ub.
+            (block,) = [
+                item for item in model._constraints
+                if isinstance(item, RowBlock) and item.name == "prefix"
+            ]
+            lp = _compile(model)
+            positions = np.arange(block.start, block.start + block.size)
+            assert not lp.is_eq[positions].any()
+            ub_rows = np.cumsum(~lp.is_eq)[positions] - 1
+            return int(lp.a_ub[ub_rows].getnnz(axis=1).max())
 
         assert max_prefix_row_terms(cumulative_model) == 2
         assert max_prefix_row_terms(prefix_model) > 3

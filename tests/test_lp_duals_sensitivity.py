@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import capacity_sensitivity, solve_ssqpp
-from repro.exceptions import SolverError
-from repro.lp import Model
-from repro.network import path_network, star_network
+from repro.exceptions import SolverError, ValidationError
+from repro.lp import LinExpr, Model
+from repro.network import Network, path_network, star_network
 from repro.quorums import AccessStrategy, majority
 
 
@@ -60,6 +60,75 @@ class TestLPDuals:
             solution.dual_of(orphan)
 
 
+class TestRowBlocks:
+    """Bulk COO rows (Model.add_rows) and their duals."""
+
+    def _model(self):
+        m = Model()
+        cols = m.add_variables(3, lb=0.0, ub=10.0, name="y")
+        return m, cols
+
+    @pytest.mark.parametrize("sense", ["<=", ">=", "=="])
+    def test_block_rows_match_single_constraints(self, sense):
+        """The same LP once as a block and once row by row: identical
+        optimum and identical per-row shadow prices."""
+        bulk, cols = self._model()
+        block = bulk.add_rows(
+            [0, 0, 1, 1], cols[[0, 1, 1, 2]], [1.0, 1.0, 1.0, 2.0],
+            [4.0, 6.0], sense, name="pairs",
+        )
+        single = Model()
+        ys = single.variables(3, prefix="y", ub=10.0)
+        constraints = []
+        for row, rhs in ((ys[0] + ys[1], 4.0), (ys[1] + 2 * ys[2], 6.0)):
+            built = {"<=": row <= rhs, ">=": row >= rhs, "==": row == rhs}[sense]
+            constraints.append(single.add_constraint(built))
+        # Push against the rows so that both bind.
+        weights = [1.0, 2.0, 3.0] if sense != "<=" else [-1.0, -2.0, -3.0]
+        bulk.minimize(LinExpr(dict(zip(cols.tolist(), weights))))
+        single.minimize(sum(w * y for w, y in zip(weights, ys)))
+        got, want = bulk.solve(), single.solve()
+        assert got.objective == pytest.approx(want.objective, abs=1e-9)
+        assert got.block_duals(block).tolist() == pytest.approx(
+            [want.dual_of(c) for c in constraints], abs=1e-9
+        )
+        assert bulk.num_constraints == 2
+
+    def test_block_duals_rejects_foreign_blocks(self):
+        m, cols = self._model()
+        m.minimize(LinExpr({int(cols[0]): 1.0}))
+        other, other_cols = self._model()
+        other.add_rows([0], other_cols[:1], [1.0], [1.0], "<=")
+        foreign = other.add_rows([0], other_cols[:1], [1.0], [1.0], "<=")
+        m.add_rows([0], cols[:1], [1.0], [1.0], ">=")
+        with pytest.raises(SolverError, match="does not belong"):
+            m.solve().block_duals(foreign)
+
+    def test_rollback_removes_whole_blocks(self):
+        m, cols = self._model()
+        m.add_rows([0], cols[:1], [1.0], [1.0], "<=")
+        mark = m.checkpoint()
+        extra = m.add_variables(4, name="w")
+        m.add_rows([0, 1], extra[:2], [1.0, 1.0], [1.0, 1.0], "==")
+        assert (m.num_variables, m.num_constraints) == (7, 3)
+        m.rollback(mark)
+        assert (m.num_variables, m.num_constraints) == (3, 1)
+        assert m.variable_name(2) == "y[2]"
+        with pytest.raises(ValidationError):
+            m.variable_name(3)
+
+    def test_add_rows_validates_its_arrays(self):
+        m, cols = self._model()
+        with pytest.raises(ValidationError, match="sense"):
+            m.add_rows([0], cols[:1], [1.0], [1.0], "<")
+        with pytest.raises(ValidationError, match="one row, column"):
+            m.add_rows([0, 0], cols[:1], [1.0], [1.0], "<=")
+        with pytest.raises(ValidationError, match="row indices"):
+            m.add_rows([1], cols[:1], [1.0], [1.0], "<=")
+        with pytest.raises(ValidationError, match="column outside"):
+            m.add_rows([0], [3], [1.0], [1.0], "<=")
+
+
 class TestCapacitySensitivity:
     def test_prices_are_non_positive(self):
         """More capacity can only reduce the minimum delay."""
@@ -105,6 +174,46 @@ class TestCapacitySensitivity:
         )
         predicted = sensitivity.lp_value + price * eps
         assert bumped.lp_value == pytest.approx(predicted, abs=1e-5)
+
+    def test_prices_belong_to_their_nodes_away_from_node_zero(self):
+        """Source 4 on a path: the binding capacities are at the source
+        and its neighbour, not at nodes 0 and 1 (distance rank != label)."""
+        system = majority(3)
+        strategy = AccessStrategy.uniform(system)
+        network = path_network(5).with_capacities(2 / 3)
+        sensitivity = capacity_sensitivity(system, strategy, network, 4)
+        prices = sensitivity.shadow_prices
+        assert prices[4] == pytest.approx(-1.0, abs=1e-7)
+        assert prices[3] == pytest.approx(-0.5, abs=1e-7)
+        for node in (0, 1, 2):
+            assert prices[node] == pytest.approx(0.0, abs=1e-9)
+        assert [node for node, _ in sensitivity.bottlenecks(2)] == [4, 3]
+
+    def test_string_node_labels(self):
+        """Labels need not be integers; each price matches the LP value's
+        response to that node's own capacity."""
+        system = majority(3)
+        strategy = AccessStrategy.uniform(system)
+        names = ["west", "mid", "east", "far"]
+        capacities = {"west": 2 / 3, "mid": 2 / 3, "east": 2 / 3, "far": 2.0}
+        network = Network(
+            names,
+            [("west", "mid", 1.0), ("mid", "east", 1.0), ("east", "far", 3.0)],
+            capacities=capacities,
+        )
+        sensitivity = capacity_sensitivity(system, strategy, network, "east")
+        assert set(sensitivity.shadow_prices) == set(names)
+        assert sensitivity.bottlenecks(1)[0][0] == "east"
+        eps = 1e-3
+        for node, price in sensitivity.shadow_prices.items():
+            bumped = dict(capacities)
+            bumped[node] += eps
+            moved = capacity_sensitivity(
+                system, strategy, network.with_capacities(bumped), "east"
+            )
+            assert moved.lp_value == pytest.approx(
+                sensitivity.lp_value + price * eps, abs=1e-6
+            )
 
     def test_loose_capacities_have_zero_prices(self):
         system = majority(3)

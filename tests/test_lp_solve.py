@@ -90,3 +90,23 @@ def test_large_sparse_model_solves():
     solution = m.solve()
     assert solution.objective == pytest.approx(1.0)
     assert solution.value(xs[0]) == pytest.approx(1.0)
+
+
+def test_compile_span_reports_rows_and_nonzeros():
+    """Assembly shows up in traces as its own span, ahead of the solve."""
+    from repro.obs.trace import collect
+
+    m = Model(name="traced")
+    x, y = m.variables(2)
+    m.add_constraint(x + y >= 1)
+    cols = m.add_variables(2, ub=1.0, name="z")
+    m.add_rows([0, 0, 1], [cols[0], x.index, cols[1]], [1.0, -1.0, 1.0], [0.0, 1.0], "==")
+    m.minimize(x + y)
+    with collect() as collector:
+        m.solve()
+    names = [s.name for root in collector.roots for s in root.iter_spans()]
+    assert names.index("lp.compile") < names.index("lp.solve")
+    (compile_span,) = [
+        s for root in collector.roots for s in root.iter_spans() if s.name == "lp.compile"
+    ]
+    assert compile_span.attributes == {"model": "traced", "rows": 3, "nonzeros": 5}

@@ -108,6 +108,55 @@ class TestServeSession:
         assert outputs[0] == outputs[1]
         assert outputs[0]  # non-empty: the property is not vacuous
 
+    def test_update_that_would_zero_total_demand_is_refused(
+        self, tmp_path, capsys
+    ):
+        """`repro serve majority:3 cycle:3`: driving every client's rate
+        to zero must cost one error response, not the whole session."""
+        lines = [json.dumps(serve_request("query", id=1, client=0))]
+        lines += [
+            json.dumps(serve_request("update", id=2 + c, client=c, rate=-1.0))
+            for c in range(3)
+        ]
+        lines.append(json.dumps(serve_request("stats", id=5)))
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "responses.jsonl"
+        code = main(
+            ["serve", "majority:3", "cycle:3", "--capacity", "2.0",
+             "--input", str(requests), "--out", str(out)]
+        )
+        assert code == 1  # exactly one error response
+        responses = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in responses] == [1, 2, 3, 4, 5]
+        assert [r["ok"] for r in responses] == [True, True, True, False, True]
+        assert "positive demand" in responses[3]["error"]
+        # Client 2 kept its rate, so the end-of-tick drift re-solve had
+        # demand to place against.
+        assert "served 5 response(s) to 5 request(s) in 1 tick(s): 1 re-solve(s)" in (
+            capsys.readouterr().err
+        )
+
+    def test_refused_update_leaves_demand_unchanged(self):
+        network = grid_network(1, 2).with_capacities(2.0)
+        system = majority(3)
+        service = PlacementService(
+            system, AccessStrategy.uniform(system), network,
+            rates={(0, 0): 1.0, (0, 1): 0.0}, drift_threshold=float("inf"),
+        )
+        for request_id, client, rate in (
+            (1, "(0, 0)", -5.0),  # would zero the only positive client
+            (2, "(0, 1)", 2.0),
+            (3, "(0, 0)", -5.0),  # now allowed: (0, 1) carries demand
+            (4, "(0, 1)", -2.5),  # would zero the last positive client
+            (5, "(0, 0)", 4.5),  # 1 - 5 + 4.5 > 0 again
+        ):
+            service.submit(serve_request("update", id=request_id, client=client, rate=rate))
+        responses = service.tick()
+        assert [r["ok"] for r in responses] == [False, True, True, False, True]
+        assert [r.get("pending") for r in responses] == [None, 1, 2, None, 3]
+        assert service.drift() >= 0.0
+
 
 def _acceptance_lines(rng):
     """1000+ queries with four waves of concentrated demand shift.
