@@ -465,7 +465,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         telemetry_document,
         validate_telemetry_document,
     )
-    from .obs.trace import JsonlSpanSink, collect, render_span_tree, span
+    from .obs.trace import (
+        JsonlSpanSink,
+        collect,
+        render_span_tree,
+        span,
+        span_name_totals,
+    )
 
     command = list(args.wrapped)
     if not command:
@@ -507,6 +513,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"max depth {collector.max_depth}) =="
         )
         print(render_span_tree(collector.roots))
+        wall = sum(root.duration or 0.0 for root in collector.roots)
+        by_name = ResultTable(
+            f"spans by name (share of {wall:.4f} s root wall time)",
+            ["span", "count", "total_s", "self_s", "share"],
+        )
+        for row in span_name_totals(collector.roots):
+            by_name.add_row(
+                span=row.name,
+                count=row.count,
+                total_s=f"{row.total:.4f}",
+                self_s=f"{row.self_time:.4f}",
+                share=f"{row.self_time / wall:.1%}" if wall > 0 else "-",
+            )
+        by_name.print()
         table = ResultTable(f"metrics for `repro {' '.join(command)}`",
                             ["metric", "value"])
         for name, value in metrics_table_rows(

@@ -331,10 +331,7 @@ def _run_cases(cases: dict[str, dict], *, repeats: int, seed: int) -> None:
     }
 
     # -- metric: batched all-pairs vs per-source scalar Dijkstra -----------------
-    adjacency = {
-        u: {v: network.edge_length(u, v) for v in network.neighbors(u)}
-        for u in network.nodes
-    }
+    adjacency = network.adjacency
     batched_seconds, matrix = _best_of(
         repeats, lambda: dijkstra_batched(adjacency)
     )

@@ -13,12 +13,14 @@ The rounding works as follows:
    into unit-sized *slots* ``(i, 1), (i, 2), ...`` — a fraction can split
    across two consecutive slots.  This yields a fractional *matching*
    between jobs and slots: each job totals 1, each slot at most 1.
-2. **Matching.** Build the bipartite graph whose edges are the positive
-   job/slot fractions (edge cost = ``c_ij``) and compute a minimum-weight
-   matching saturating every job.  The fractional matching witnesses
-   feasibility (Hall's condition) and, by integrality of the bipartite
-   matching polytope, the optimal integral matching costs no more than
-   the fractional one.
+2. **Matching.** Build the jobs x slots cost matrix whose finite
+   entries are the positive job/slot fractions (entry = ``c_ij``, ``inf``
+   elsewhere) and compute a minimum-weight matching saturating every job.
+   The fractional matching witnesses feasibility (Hall's condition) and,
+   by integrality of the bipartite matching polytope, the optimal
+   integral matching costs no more than the fractional one.  Rows follow
+   job index and columns ``(machine, slot)`` index order, so ties between
+   equal-cost matchings break the same way in every process.
 3. **Load guarantee.** A machine receives at most one job per slot; every
    job landing in slot ``s >= 2`` has load at most the *smallest* load in
    slot ``s - 1``, so the total beyond the first slot is at most the
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from ..exceptions import SolverError, ValidationError
 from .instance import GAPInstance, Label
@@ -137,37 +139,29 @@ def round_fractional_assignment(fractional: FractionalAssignment) -> RoundedAssi
     fractions = _check_fractions(fractional)
     instance = fractional.instance
 
-    graph = nx.Graph()
-    job_nodes = [("job", j) for j in range(instance.num_jobs)]
-    graph.add_nodes_from(job_nodes, bipartite=0)
-    for i in range(instance.num_machines):
-        slots = _build_slots(fractions, instance.loads, i)
-        for s, slot in enumerate(slots):
-            slot_node = ("slot", i, s)
-            graph.add_node(slot_node, bipartite=1)
-            for job, fraction in slot:
-                if fraction <= _FRACTION_EPSILON:
-                    continue
-                cost = float(instance.costs[i, job])
-                key = ("job", job)
-                # A job can reach the same slot via two split pieces;
-                # keep a single edge (costs are equal anyway).
-                if not graph.has_edge(key, slot_node):
-                    graph.add_edge(key, slot_node, weight=cost)
+    slots = [
+        (i, slot)
+        for i in range(instance.num_machines)
+        for slot in _build_slots(fractions, instance.loads, i)
+    ]
+    weights = np.full((instance.num_jobs, len(slots)), np.inf)
+    for column, (i, slot) in enumerate(slots):
+        for job, fraction in slot:
+            if fraction > _FRACTION_EPSILON:
+                weights[job, column] = instance.costs[i, job]
 
     try:
-        matching = nx.bipartite.minimum_weight_full_matching(graph, job_nodes, "weight")
-    except (ValueError, nx.NetworkXException) as exc:  # pragma: no cover - defensive
+        jobs, columns = linear_sum_assignment(weights)
+    except ValueError as exc:  # pragma: no cover - defensive
         raise SolverError(
             "bipartite matching failed during GAP rounding; the fractional "
             "solution is likely not a feasible LP point"
         ) from exc
 
-    assignment: dict[Label, Label] = {}
-    for j in range(instance.num_jobs):
-        slot_node = matching[("job", j)]
-        machine_index = slot_node[1]
-        assignment[instance.jobs[j]] = instance.machines[machine_index]
+    assignment: dict[Label, Label] = {
+        instance.jobs[int(j)]: instance.machines[slots[int(s)][0]]
+        for j, s in zip(jobs, columns)
+    }
 
     cost = instance.assignment_cost(assignment)
     machine_loads = instance.machine_loads(assignment)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Iterable, Mapping
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Union
 
 from .._validation import check_positive, require
@@ -230,6 +231,19 @@ class Network:
                 if self._index[u] < self._index[v]:
                     result.append((u, v, length))
         return result
+
+    @property
+    def adjacency(self) -> Mapping[Node, Mapping[Node, float]]:
+        """Read-only ``{u: {v: length}}`` view of the edges, keyed in node
+        order; each undirected edge appears in both directions.
+
+        The metrics compile this view into CSR arrays
+        (:func:`repro.network.metric.compile_graph`).  Only the mapping
+        proxies are new; no edge is copied.
+        """
+        return MappingProxyType(
+            {u: MappingProxyType(neighbours) for u, neighbours in self._adjacency.items()}
+        )
 
     @property
     def edge_count(self) -> int:

@@ -9,8 +9,10 @@ counterpart:
 * :class:`MetricView` — the structural protocol every evaluator accepts:
   node indexing, pairwise lookups, full rows, contiguous row blocks, and
   arbitrary submatrices.  The dense ``Metric`` satisfies it natively.
-* :class:`LazyMetric` — distance rows materialized on demand through the
-  existing batched scipy Dijkstra, behind an LRU row cache whose
+* :class:`LazyMetric` — distance rows materialized on demand: the
+  network's graph is compiled to CSR arrays once per view, and each
+  batch of missing rows is one call of scipy's C Dijkstra over it,
+  behind an LRU row cache whose
   hit/miss/evict counters live in the :mod:`repro.obs.metrics` default
   registry under the same ``metric.cache.*`` family as the dense cache.
   Rows are bitwise identical to the dense matrix rows (scipy's Dijkstra
@@ -26,13 +28,14 @@ counterpart:
   before any exact rows are pulled.
 
 Memory: a :class:`LazyMetric` holds at most ``max_cached_rows`` rows
-(``O(max_cached_rows * n)``) plus the adjacency — never ``O(n^2)``.
+(``O(max_cached_rows * n)``) plus the compiled graph (``O(n + m)``) —
+never ``O(n^2)``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol, runtime_checkable
 
@@ -43,6 +46,7 @@ from .._validation import check_integer_in_range, cost, require
 from ..exceptions import ValidationError
 from ..obs.metrics import counter, gauge
 from .graph import Network, Node
+from .metric import CompiledGraph, compile_graph
 
 __all__ = [
     "MetricView",
@@ -120,11 +124,13 @@ class LazyMetric:
     Parameters
     ----------
     network:
-        The network whose shortest-path metric this views.  The
-        adjacency is captured once at construction; rows are computed by
-        :func:`repro.network.metric.dijkstra_batched` restricted to the
-        missing sources, so each row is bitwise identical to the
-        corresponding dense-matrix row.
+        The network whose shortest-path metric this views.  Its graph is
+        compiled once at construction
+        (:func:`repro.network.metric.compile_graph`, inside a
+        ``metric.compile`` span); each batch of row misses is then one
+        :func:`repro.network.metric.dijkstra_batched` call over the
+        compiled graph, restricted to the missing sources, so each row is
+        bitwise identical to the corresponding dense-matrix row.
     max_cached_rows:
         LRU capacity in rows (``None`` disables eviction).  Peak resident
         memory is ``max_cached_rows * n * 8`` bytes.
@@ -138,7 +144,7 @@ class LazyMetric:
     __slots__ = (
         "_nodes",
         "_index",
-        "_adjacency",
+        "_graph",
         "_cache",
         "_max_rows",
         "_hits",
@@ -153,12 +159,9 @@ class LazyMetric:
         require(isinstance(network, Network), "network must be a Network")
         if max_cached_rows is not None:
             check_integer_in_range(max_cached_rows, "max_cached_rows", low=1)
-        self._nodes: tuple[Node, ...] = network.nodes
-        self._index: dict[Node, int] = {v: i for i, v in enumerate(self._nodes)}
-        self._adjacency: dict[Node, dict[Node, float]] = {
-            u: {v: network.edge_length(u, v) for v in network.neighbors(u)}
-            for u in self._nodes
-        }
+        self._graph: CompiledGraph = compile_graph(network.adjacency)
+        self._nodes: tuple[Node, ...] = self._graph.nodes
+        self._index: Mapping[Node, int] = self._graph.index
         self._cache: OrderedDict[int, NDArray[np.float64]] = OrderedDict()
         self._max_rows = max_cached_rows
         self._hits = 0
@@ -209,11 +212,14 @@ class LazyMetric:
     # -- row materialization -------------------------------------------------------
 
     def _compute_rows(self, indices: Sequence[int]) -> NDArray[np.float64]:
-        """Batched Dijkstra restricted to the given source indices."""
+        """Batched Dijkstra over the compiled graph, restricted to the
+        given source indices."""
+        # Looked up at call time, so a wrapper installed on the module
+        # attribute (a tracer) sees every row pull.
         from .metric import dijkstra_batched
 
         sources = [self._nodes[i] for i in indices]
-        block = dijkstra_batched(self._adjacency, sources)
+        block = dijkstra_batched(self._graph, sources)
         if bool(np.any(block < 0)):
             raise ValidationError("computed distances must be non-negative")
         for offset, i in enumerate(indices):

@@ -20,7 +20,8 @@ Sinks receive every finished *root* span (with its whole subtree):
 * :class:`JsonlSpanSink` appends one JSON object per span, flattened
   with ``id``/``parent`` references so trees survive the round trip
   (:func:`read_spans_jsonl` rebuilds them);
-* :func:`render_span_tree` formats a tree for humans.
+* :func:`render_span_tree` formats a tree for humans;
+* :func:`span_name_totals` sums the trees per span name.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "read_spans_jsonl",
     "span_to_dicts",
     "render_span_tree",
+    "span_name_totals",
 ]
 
 
@@ -384,3 +386,35 @@ def render_span_tree(roots: Iterable[Span]) -> str:
     for root in roots:
         visit(root, 0)
     return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class SpanNameTotals:
+    """Every span of one name, summed (see :func:`span_name_totals`)."""
+
+    name: str
+    count: int
+    total: float
+    self_time: float
+
+
+def span_name_totals(roots: Iterable[Span]) -> list[SpanNameTotals]:
+    """Count, total duration and self time per span name, largest self
+    time first (ties by name).
+
+    A span's self time is its duration minus its children's durations,
+    so the self times of all names add up to the roots' durations.  A
+    span still open counts as zero seconds.
+    """
+    totals: dict[str, tuple[int, float, float]] = {}
+    for root in roots:
+        for node in root.iter_spans():
+            duration = node.duration or 0.0
+            own = duration - sum(child.duration or 0.0 for child in node.children)
+            count, total, self_time = totals.get(node.name, (0, 0.0, 0.0))
+            totals[node.name] = (count + 1, total + duration, self_time + own)
+    rows = [
+        SpanNameTotals(name, count, total, self_time)
+        for name, (count, total, self_time) in totals.items()
+    ]
+    return sorted(rows, key=lambda row: (-row.self_time, row.name))

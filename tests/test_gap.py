@@ -1,10 +1,16 @@
 """Tests for the GAP substrate: instances, LP, Shmoys-Tardos rounding."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import InfeasibleError, ValidationError
 from repro.gap import (
     FractionalAssignment,
@@ -172,6 +178,53 @@ class TestRounding:
         fractional = FractionalAssignment(instance=inst, fractions=fractions, cost=2.0)
         rounded = round_fractional_assignment(fractional)
         assert rounded.assignment[0] in ("m0", "m1")
+
+
+#: A relay sweep whose rounding meets equal-cost matchings: sweep_dense
+#: seed 9, network 4 of the repository benchmark.
+_TIED_SWEEP = """
+import json
+import numpy as np
+from repro import AccessStrategy
+from repro.core.qpp import solve_qpp
+from repro.network import random_geometric_network
+from repro.quorums import grid
+
+network = random_geometric_network(
+    30, 0.4, rng=np.random.default_rng(103)
+).with_capacities(2.0)
+system = grid(3)
+result = solve_qpp(system, AccessStrategy.uniform(system), network=network)
+print(json.dumps({
+    "objective": repr(result.objective),
+    "placement": sorted(repr(item) for item in result.placement.as_dict().items()),
+}))
+"""
+
+
+class TestHashSeedIndependence:
+    """String hashing is salted per process (``PYTHONHASHSEED``); the
+    rounding's matching must not break cost ties in hash order."""
+
+    def _solve_under(self, hash_seed):
+        source_root = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (source_root, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        completed = subprocess.run(
+            [sys.executable, "-c", _TIED_SWEEP],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+            check=False,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        return json.loads(completed.stdout.splitlines()[-1])
+
+    def test_placements_and_objectives_match_across_hash_seeds(self):
+        first, second = self._solve_under("0"), self._solve_under("2")
+        assert first == second
+        assert float(first["objective"]) == pytest.approx(0.44766701393407304)
 
 
 class TestSolver:

@@ -115,11 +115,13 @@ class TestUnreachable:
 
 class TestValidation:
     def test_unknown_source_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^source 'nope' is not in the graph$"):
             dijkstra_batched({0: {1: 1.0}, 1: {0: 1.0}}, ["nope"])
 
     def test_unknown_neighbor_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="^adjacency of 0 references unknown node 99$"
+        ):
             dijkstra_batched({0: {99: 1.0}})
 
 

@@ -13,6 +13,7 @@ from repro.obs.trace import (
     read_spans_jsonl,
     render_span_tree,
     span,
+    span_name_totals,
     span_to_dicts,
     uninstall_collector,
 )
@@ -175,3 +176,44 @@ class TestRendering:
         assert "net=g" in lines[0]
         assert lines[1].startswith("  child")
         assert "[error]" in lines[1]
+
+
+class TestSpanNameTotals:
+    def test_hand_built_tree(self):
+        leaf = Span("lp.solve", duration=0.25)
+        inner = Span("ssqpp.solve", duration=0.5, children=[leaf, Span("lp.solve", duration=0.125)])
+        root = Span("qpp.sweep", duration=1.0, children=[inner, Span("open")])
+        rows = span_name_totals([root, Span("cli", duration=0.5)])
+        # Largest self time first, ties by name.
+        assert [(row.name, row.count, row.total, row.self_time) for row in rows] == [
+            ("cli", 1, 0.5, 0.5),
+            ("qpp.sweep", 1, 1.0, 0.5),
+            ("lp.solve", 2, 0.375, 0.375),
+            ("ssqpp.solve", 1, 0.5, 0.125),
+            ("open", 1, 0.0, 0.0),
+        ]
+
+    def test_self_times_sum_to_root_wall_and_counts_match_the_tree(self):
+        from repro import AccessStrategy, solve_qpp
+        from repro.network import grid_network
+        from repro.quorums import grid
+
+        system = grid(2)
+        with collect() as collector:
+            solve_qpp(system, AccessStrategy.uniform(system), network=grid_network(3, 3))
+            with span("second.root"):
+                pass
+        rows = span_name_totals(collector.roots)
+        wall = sum(root.duration for root in collector.roots)
+        assert abs(sum(row.self_time for row in rows) - wall) <= 1e-9
+        assert sum(row.count for row in rows) == collector.span_count
+        for row in rows:
+            spans = [
+                node for root in collector.roots for node in root.iter_spans()
+                if node.name == row.name
+            ]
+            assert row.count == len(spans)
+            assert row.total == pytest.approx(sum(node.duration for node in spans), abs=1e-12)
+        assert [row.self_time for row in rows] == sorted(
+            (row.self_time for row in rows), reverse=True
+        )

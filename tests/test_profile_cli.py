@@ -27,6 +27,10 @@ class TestProfileText:
         # ...with visible nesting (>= 3 indent levels)...
         tree = captured.split("== span tree")[1]
         assert any(line.startswith("      ") for line in tree.splitlines())
+        # ...the per-name rollup after the tree...
+        assert captured.index("== spans by name") > captured.index("== span tree")
+        by_name = captured.split("== spans by name")[1].split("== metrics for")[0]
+        assert any(line.startswith("lp.solve ") for line in by_name.splitlines())
         # ...and the metrics table with the headline numbers.
         assert "LP solve count" in captured
         assert "metric cache hit rate" in captured
