@@ -23,9 +23,9 @@ test-scale:
 lint:
 	$(PYTHON) -m repro lint src --whole-program --dataflow --effects --cost --errors --baseline lint-baseline.json
 
-# Run the effect tier and (re)generate the parallel-safety certificate
-# consumed by repro.parallel.parallel_map (docs/static_analysis.md).
-# CI regenerates and uploads this on every push.
+# Run the effect tier and (re)generate the parallel-safety certificate,
+# the R400 tier's artifact (docs/static_analysis.md). CI regenerates and
+# uploads this on every push.
 effects:
 	$(PYTHON) -m repro lint src --effects --certificate parallel-safety.json
 

@@ -104,7 +104,6 @@ from .exceptions import (
     CapacityError,
     InfeasibleError,
     IntersectionError,
-    ParallelSafetyError,
     ReproError,
     SolverError,
     UnboundedError,
@@ -149,7 +148,6 @@ __all__ = [
     "MetricView",
     "Network",
     "OptimalStrategyResult",
-    "ParallelSafetyError",
     "PartialDeployment",
     "Placement",
     "Provenance",

@@ -357,8 +357,8 @@ def effects(*kinds: str) -> Callable[[_F], _F]:
     *statically* against the inferred effect set by ``repro lint
     --effects`` (rules R400/R401).  Functions whose declared-and-verified
     effects are limited to ``reads-global`` / ``writes-metrics`` appear
-    as parallel-safe in the emitted certificate, which is what
-    :func:`repro.parallel.parallel_map` gates process fan-out on.
+    as parallel-safe in the emitted certificate, the CI artifact of the
+    R400 tier.
 
     Unlike :func:`contract`, no wrapper is installed: the function object
     is returned unchanged (so it stays picklable for process pools) and

@@ -266,7 +266,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         scale=args.scale,
         landmarks=args.landmarks,
-        retry_certificate=args.retry_certificate,
         warm_limit=args.warm_limit,
     )
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
@@ -629,9 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--warm-limit", type=int, default=None,
                          help="restrict re-solves to the N best relay "
                          "candidates of the previous solve")
-    p_serve.add_argument("--retry-certificate", default=None,
-                         help="error-contract JSON enabling retrying() "
-                         "around re-solves (see docs/resilience.md)")
     p_serve.add_argument("--input", default="-",
                          help="JSONL request file, or - for stdin")
     p_serve.add_argument("--out", default="-",

@@ -23,11 +23,11 @@ exhaustive search is out of reach.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
-from typing import Any, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,15 +38,13 @@ from .._validation import (
     check_positive,
     check_scale,
     cost,
-    effects,
     raises,
     require,
 )
 from ..network.graph import Network, Node
-from ..network.lazymetric import LandmarkOracle
+from ..network.lazymetric import LandmarkOracle, MetricView
 from ..obs.metrics import counter, telemetry_scope
 from ..obs.trace import span
-from ..parallel import parallel_map
 from ..resilience import fault_point
 from ..quorums.base import QuorumSystem
 from ..quorums.strategy import AccessStrategy
@@ -57,7 +55,7 @@ from .placement import (
     average_max_delay_bounds,
     average_max_delay_via_sources,
 )
-from .ssqpp import SSQPPLPFactory, SSQPPResult, solve_ssqpp
+from .ssqpp import SSQPPResult, solve_ssqpp
 
 __all__ = ["QPPResult", "solve_qpp", "average_strategy", "warm_candidates"]
 
@@ -111,9 +109,9 @@ class QPPResult(SolveResult):
 
 
 # paper: Thm 3.3
-@effects("reads-global", "writes-metrics")
-def _qpp_candidate_worker(
+def _solve_candidate(
     source: Node,
+    domain: list[Node] | None,
     *,
     system: QuorumSystem,
     strategy: AccessStrategy,
@@ -121,33 +119,36 @@ def _qpp_candidate_worker(
     alpha: float,
     lp_method: str,
     formulation: str,
+    metric: MetricView | None,
 ) -> SSQPPResult:
-    """Solve one relay candidate in isolation (the process-pool worker).
+    """The single-source solve of one relay candidate, on its own LP.
 
-    Unlike the serial sweep, each worker builds its own LP factory: the
-    shared-factory optimization assumes sequential attach/release on one
-    mutable LP base, which processes cannot share.  The factory's
-    checkpoint/rollback contract makes a fresh base bitwise-equivalent
-    to a rolled-back shared one, so the sweep's results do not depend on
-    which path ran (test-asserted).  Declared effects cover callees the
-    static analysis cannot see through method calls (the LP solve
-    counters, the network metric cache).
+    Module-level so that the pooled sweep can send it to worker
+    processes; it is the same call in both execution modes.
     """
-    return solve_ssqpp(
-        system,
-        strategy,
-        network=network,
+    with span(
+        "qpp.candidate",
         source=source,
-        alpha=alpha,
-        lp_method=lp_method,
-        formulation=formulation,
-    )
+        domain=network.size if domain is None else len(domain),
+    ):
+        fault_point("qpp.candidate")
+        return solve_ssqpp(
+            system,
+            strategy,
+            network=network,
+            source=source,
+            alpha=alpha,
+            lp_method=lp_method,
+            formulation=formulation,
+            metric=metric,
+            placement_nodes=domain,
+        )
 
 
 # paper: Thm 1.2, Thm 3.3, §3
 @solver_api(legacy_positional=("network",))
 @cost("n**2 * q * c")
-@raises("ParallelSafetyError", "ValidationError", transient=("SolverError",))
+@raises("ValidationError", transient=("SolverError",))
 def solve_qpp(
     system: QuorumSystem,
     strategy: AccessStrategy,
@@ -159,7 +160,6 @@ def solve_qpp(
     lp_method: str = "highs",
     formulation: str = "prefix",
     parallel: str | None = None,
-    certificate: Mapping[str, Any] | str | Path | None = None,
     max_workers: int | None = None,
     scale: str | None = None,
     landmarks: int = 16,
@@ -174,6 +174,11 @@ def solve_qpp(
     ``load_f(v) <= (alpha + 1) cap(v)`` and
     ``Avg_v Delta_f(v) <= 5 alpha/(alpha-1) * OPT``.
 
+    Both scales run the same sweep: candidates in order, each solved on
+    its own LP, evaluated, and selected with a strict ``<`` (the first of
+    equal candidates wins).  ``scale`` fixes the metric view, the default
+    candidates, the placement domains and the evaluator.
+
     Parameters
     ----------
     candidate_sources:
@@ -185,29 +190,24 @@ def solve_qpp(
         Optional per-client access rates (§6 extension); both the
         objective and the lower bound become rate-weighted averages.
     parallel:
-        ``"process"`` fans the candidate sweep out across a process pool
-        via :func:`repro.parallel.parallel_map`, gated on the
-        parallel-safety *certificate*; ``None`` (default) sweeps
-        serially with a shared LP factory.  Results are identical either
-        way — only the telemetry attribution differs (child-process
+        ``"process"`` maps the candidates' single-source solves over a
+        :class:`~concurrent.futures.ProcessPoolExecutor`; ``None``
+        (default) solves them in this process.  Results are identical
+        either way — only the telemetry attribution differs (child-process
         counter increments stay in the children).
-    certificate:
-        Parallel-safety certificate for the pooled sweep: a parsed
-        document, a path to one, or ``None`` to consult
-        ``$REPRO_PARALLEL_CERTIFICATE``.  Generate with ``repro lint
-        --effects --certificate out.json``.  Without a valid certificate
-        covering the worker, ``parallel="process"`` refuses
-        (:class:`~repro.exceptions.ParallelSafetyError`).
     max_workers:
         Pool size for ``parallel="process"`` (default: executor choice).
     scale:
-        ``None`` or ``"dense"`` (equivalent) run the classic sweep over
-        the dense cached metric.  ``"large"`` switches to the lazy-metric
-        sweep: distances come from :meth:`Network.lazy_metric` (rows on
-        demand, never an ``n x n`` matrix), candidates default to a
-        farthest-point landmark set, each single-source LP is restricted
-        to a capacity-adaptive prefix of nodes near the source, and
-        oracle bounds prune the exact evaluation of hopeless candidates.
+        ``None`` or ``"dense"`` (equivalent) sweep over the dense cached
+        metric.  ``"large"`` switches to the lazy metric: distances come
+        from :meth:`Network.lazy_metric` (rows on demand, never an
+        ``n x n`` matrix), candidates default to a farthest-point
+        landmark set, each single-source LP is restricted to a
+        capacity-adaptive prefix of nodes near the source, exact values
+        come from :func:`average_max_delay_via_sources` (matches the
+        dense evaluator up to metric-symmetry ulp), and oracle bounds
+        prune the exact evaluation of hopeless candidates.  It sweeps
+        serially: ``parallel="process"`` is refused.
     landmarks:
         Landmark count for the ``scale="large"`` oracle (and the default
         candidate set).  Ignored otherwise.
@@ -215,8 +215,9 @@ def solve_qpp(
         ``scale="large"`` placement-domain control: ``"auto"`` sizes a
         capacity-adaptive prefix per candidate, an integer fixes the
         prefix length, ``None`` keeps the full domain (exact but slow).
-        Restricting the domain voids the certified lower bound — the
-        result then reports ``optimum_lower_bound = 0.0``.
+        Restricting the domain voids the certified lower bound: the
+        restricted LP optimum upper-bounds the true ``Z*``, so the result
+        then reports ``optimum_lower_bound = 0.0``.
     prune:
         In ``scale="large"``, skip exact evaluation of a candidate whose
         oracle *lower* bound already matches or exceeds the incumbent.
@@ -228,41 +229,107 @@ def solve_qpp(
         parallel in (None, "process"),
         f"parallel must be None or 'process', got {parallel!r}",
     )
+    require(
+        max_workers is None or max_workers >= 1,
+        f"max_workers must be >= 1, got {max_workers!r}",
+    )
     check_scale(scale)
     require(
         horizon is None or horizon == "auto"
         or (isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 1),
         f"horizon must be None, 'auto' or a positive int, got {horizon!r}",
     )
-    if scale == "large":
+    large = scale == "large"
+    if large:
         require(
             parallel is None,
             "scale='large' sweeps serially over the shared lazy metric; "
             "parallel='process' is not supported",
         )
-        return _solve_qpp_large(
-            system,
-            strategy,
-            network=network,
+        view: MetricView = network.lazy_metric()
+        k = max(1, min(int(landmarks), network.size))
+        oracle = LandmarkOracle.build(view, k)
+        default_candidates: Sequence[Node] = oracle.landmarks
+        provenance = Provenance.of(
+            "qpp.relay-sweep-large",
+            "Thm 1.2",
             alpha=alpha,
-            candidate_sources=candidate_sources,
-            rates=rates,
-            lp_method=lp_method,
             formulation=formulation,
-            landmarks=landmarks,
+            landmarks=k,
             horizon=horizon,
-            prune=prune,
         )
-    candidates = list(candidate_sources) if candidate_sources is not None else list(network.nodes)
+        loads = strategy.load_array()
+        total_load = float(loads.sum())
+        max_load = float(loads.max()) if loads.size else 0.0
+        pruned = counter("qpp.prune.skipped")
+        evaluated = counter("qpp.prune.evaluated")
+
+        def domain_of(source: Node) -> list[Node] | None:
+            return _capacity_prefix_domain(
+                network,
+                view.nodes_by_distance(source),
+                alpha=alpha,
+                total_load=total_load,
+                max_load=max_load,
+                horizon=horizon,
+            )
+
+        def hopeless(placement: Placement, incumbent: float) -> bool:
+            # Sound: the exact value is at least the oracle's lower bound,
+            # so the strict < selection could not switch to it.
+            if not prune:
+                return False
+            bound_low, _ = average_max_delay_bounds(
+                placement, strategy, oracle, rates=rates
+            )
+            if bound_low >= incumbent:
+                pruned.inc()
+                return True
+            return False
+
+        def realized_delay(placement: Placement) -> float:
+            evaluated.inc()
+            return average_max_delay_via_sources(
+                placement, strategy, view, rates=rates
+            )
+
+    else:
+        view = network.metric()
+        default_candidates = network.nodes
+        provenance = Provenance.of(
+            "qpp.relay-sweep", "Thm 1.2", alpha=alpha, formulation=formulation
+        )
+
+        def domain_of(source: Node) -> list[Node] | None:
+            return None
+
+        def hopeless(placement: Placement, incumbent: float) -> bool:
+            return False
+
+        def realized_delay(placement: Placement) -> float:
+            return average_max_delay(placement, strategy, rates=rates)
+
+    # The Thm 3.3 lower bound needs every candidate's LP over all nodes.
+    full_domain = not large or horizon is None
+    candidates = list(
+        dict.fromkeys(
+            default_candidates if candidate_sources is None else candidate_sources
+        )
+    )
     require(len(candidates) > 0, "at least one candidate source is required")
-    # Dedupe while preserving order: repeated candidates would waste
-    # solves and make per_source diagnostics ambiguous.
-    candidates = list(dict.fromkeys(candidates))
     for node in candidates:
         network.node_index(node)
-
-    metric = network.metric()
     weights = _client_weights(network, rates)
+    solve = partial(
+        _solve_candidate,
+        system=system,
+        strategy=strategy,
+        network=network,
+        alpha=alpha,
+        lp_method=lp_method,
+        formulation=formulation,
+        metric=view if large else None,
+    )
 
     best: SSQPPResult | None = None
     best_delay = float("inf")
@@ -271,69 +338,41 @@ def solve_qpp(
     per_source: dict[Node, SSQPPResult] = {}
 
     with telemetry_scope() as telemetry, span(
-        "qpp.sweep", candidates=len(candidates), alpha=alpha
+        "qpp.sweep",
+        scale="large" if large else "dense",
+        candidates=len(candidates),
+        alpha=alpha,
     ):
+        # map() is lazy, so the serial sweep solves and evaluates one
+        # candidate at a time (a lazy metric pulls rows in that order).
+        domains = map(domain_of, candidates)
+        results: Iterable[SSQPPResult]
         if parallel == "process":
-            worker = partial(
-                _qpp_candidate_worker,
-                system=system,
-                strategy=strategy,
-                network=network,
-                alpha=alpha,
-                lp_method=lp_method,
-                formulation=formulation,
-            )
-            results = parallel_map(
-                worker,
-                candidates,
-                certificate=certificate,
-                max_workers=max_workers,
-            )
+            with ProcessPoolExecutor(max_workers=max_workers) as executor:
+                results = list(executor.map(solve, candidates, domains))
         else:
-            # One shared LP base (variables, assignment and capacity
-            # rows) for the whole sweep; each solve_ssqpp call attaches
-            # only the source-dependent structure and rolls it back
-            # afterwards.
-            factory = SSQPPLPFactory(
-                system, strategy, network, formulation=formulation
-            )
-            results = []
-            for source in candidates:
-                with span("qpp.candidate", source=source):
-                    fault_point("qpp.candidate")
-                    results.append(
-                        solve_ssqpp(
-                            system,
-                            strategy,
-                            network=network,
-                            source=source,
-                            alpha=alpha,
-                            lp_method=lp_method,
-                            formulation=formulation,
-                            factory=factory,
-                        )
-                    )
-        # Selection is shared between both sweep modes and iterates in
-        # candidate order, so serial and pooled runs reduce the same
-        # per-candidate results with the same float arithmetic.
+            results = map(solve, candidates, domains)
         for source, result in zip(candidates, results):
             per_source[source] = result
-            to_source = float(weights @ metric.distances_from(source))
-            lower_bound = min(lower_bound, (to_source + result.lp_value) / 5.0)
-            realized = average_max_delay(result.placement, strategy, rates=rates)
+            if full_domain:
+                to_source = float(weights @ view.distances_from(source))
+                lower_bound = min(lower_bound, (to_source + result.lp_value) / 5.0)
+            if best is not None and hopeless(result.placement, best_delay):
+                continue
+            realized = realized_delay(result.placement)
             if realized < best_delay:
                 best_delay = realized
                 best = result
                 best_source = source
 
     assert best is not None and best_source is not None
+    if not full_domain or lower_bound == float("inf"):
+        lower_bound = 0.0
     return QPPResult(
         placement=best.placement,
         objective=best_delay,
         load_violation_factor=best.max_load_factor,
-        provenance=Provenance.of(
-            "qpp.relay-sweep", "Thm 1.2", alpha=alpha, formulation=formulation
-        ),
+        provenance=provenance,
         source=best_source,
         alpha=alpha,
         approximation_factor=5.0 * alpha / (alpha - 1.0),
@@ -391,150 +430,6 @@ def _capacity_prefix_domain(
                 domain.append(node)
                 break
     return domain
-
-
-# paper: Thm 1.2, Thm 3.3, §3
-@cost("n**2 * q * c", scale="large")
-@effects("reads-global", "writes-metrics")
-def _solve_qpp_large(
-    system: QuorumSystem,
-    strategy: AccessStrategy,
-    *,
-    network: Network,
-    alpha: float,
-    candidate_sources: Sequence[Node] | None,
-    rates: Mapping[Node, float] | None,
-    lp_method: str,
-    formulation: str,
-    landmarks: int,
-    horizon: int | str | None,
-    prune: bool,
-) -> QPPResult:
-    """The ``scale="large"`` sweep behind :func:`solve_qpp`.
-
-    Identical selection semantics to the dense sweep — candidates in
-    order, strict ``<`` updates — but every distance flows through the
-    network's shared :class:`~repro.network.lazymetric.LazyMetric`, so
-    no ``n x n`` matrix is ever materialized.  Exact candidate values
-    come from :func:`average_max_delay_via_sources` (``O(|image|)`` row
-    pulls; matches the dense evaluator up to metric-symmetry ulp).
-    Three scale levers:
-
-    1. **Candidates** default to a greedy farthest-point landmark set
-       (``landmarks`` of them) instead of all ``n`` nodes.
-    2. **Horizon** restricts each candidate's LP to nodes near the
-       source (see :func:`_capacity_prefix_domain`).  Restriction voids
-       the Theorem 3.3 certificate: the restricted LP optimum
-       upper-bounds the true ``Z*``, so the result reports
-       ``optimum_lower_bound = 0.0`` whenever any domain was restricted.
-    3. **Pruning** skips the exact streamed evaluation of a candidate
-       whose oracle lower bound already reaches the incumbent — sound
-       because the exact value can only be larger, so the strict ``<``
-       selection could not have switched to it anyway.
-    """
-    view = network.lazy_metric()
-    k = max(1, min(int(landmarks), network.size))
-    oracle = LandmarkOracle.build(view, k)
-    if candidate_sources is not None:
-        candidates = list(dict.fromkeys(candidate_sources))
-    else:
-        candidates = list(oracle.landmarks)
-    require(len(candidates) > 0, "at least one candidate source is required")
-    for node in candidates:
-        network.node_index(node)
-    weights = _client_weights(network, rates)
-    loads = strategy.load_array()
-    total_load = float(loads.sum())
-    max_load = float(loads.max()) if loads.size else 0.0
-
-    pruned = counter("qpp.prune.skipped")
-    evaluated = counter("qpp.prune.evaluated")
-
-    best: SSQPPResult | None = None
-    best_delay = float("inf")
-    best_source: Node | None = None
-    lower_bound = float("inf")
-    restricted = False
-    per_source: dict[Node, SSQPPResult] = {}
-
-    with telemetry_scope() as telemetry, span(
-        "qpp.sweep.large",
-        candidates=len(candidates),
-        alpha=alpha,
-        landmarks=k,
-    ):
-        for source in candidates:
-            ordered = view.nodes_by_distance(source)
-            domain = _capacity_prefix_domain(
-                network,
-                ordered,
-                alpha=alpha,
-                total_load=total_load,
-                max_load=max_load,
-                horizon=horizon,
-            )
-            with span(
-                "qpp.candidate",
-                source=source,
-                domain=network.size if domain is None else len(domain),
-            ):
-                fault_point("qpp.candidate")
-                result = solve_ssqpp(
-                    system,
-                    strategy,
-                    network=network,
-                    source=source,
-                    alpha=alpha,
-                    lp_method=lp_method,
-                    formulation=formulation,
-                    metric=view,
-                    placement_nodes=domain,
-                )
-            per_source[source] = result
-            if domain is None:
-                to_source = float(weights @ view.distances_from(source))
-                lower_bound = min(lower_bound, (to_source + result.lp_value) / 5.0)
-            else:
-                restricted = True
-            if prune and best is not None:
-                bound_low, _ = average_max_delay_bounds(
-                    result.placement, strategy, oracle, rates=rates
-                )
-                if bound_low >= best_delay:
-                    pruned.inc()
-                    continue
-            evaluated.inc()
-            realized = average_max_delay_via_sources(
-                result.placement, strategy, view, rates=rates
-            )
-            if realized < best_delay:
-                best_delay = realized
-                best = result
-                best_source = source
-
-    assert best is not None and best_source is not None
-    if restricted or lower_bound == float("inf"):
-        lower_bound = 0.0
-    return QPPResult(
-        placement=best.placement,
-        objective=best_delay,
-        load_violation_factor=best.max_load_factor,
-        provenance=Provenance.of(
-            "qpp.relay-sweep-large",
-            "Thm 1.2",
-            alpha=alpha,
-            formulation=formulation,
-            landmarks=k,
-            horizon=horizon,
-        ),
-        source=best_source,
-        alpha=alpha,
-        approximation_factor=5.0 * alpha / (alpha - 1.0),
-        load_factor_bound=alpha + 1.0,
-        optimum_lower_bound=lower_bound,
-        per_source=per_source,
-        telemetry=telemetry.snapshot,
-    )
 
 
 def warm_candidates(previous: QPPResult, *, limit: int = 8) -> list[Node]:

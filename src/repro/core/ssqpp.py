@@ -155,19 +155,17 @@ def _chain_entries(running: np.ndarray, steps: np.ndarray):
 
 
 class SSQPPLPFactory:
-    """Shared LP scaffolding for the relaxation (9)-(14).
+    """The LP relaxation (9)-(14) for one source, built in two steps.
 
     The LP splits into a part that does not depend on the source ``v0``
     — the assignment variables ("element ``u`` sits on node ``v``"), the
-    placement rows (10), and the capacity rows (12)/(13) — and a part
-    that does: the quorum-completion variables over the distance
-    ordering, the prefix-consistency rows (14), and the objective (9).
-    The factory builds the v0-independent base exactly once; each call
-    to :meth:`attach` adds only the delay-dependent structure for one
-    candidate source on top of a :class:`repro.lp.ModelCheckpoint`, and
-    :meth:`release` rolls the model back so the next candidate reuses
-    the base.  This turns :func:`repro.core.qpp.solve_qpp`'s sweep from
-    a quadratic rebuild into an incremental re-fill.
+    placement rows (10), and the capacity rows (12)/(13) — built by the
+    constructor, and a part that does: the quorum-completion variables
+    over the distance ordering, the prefix-consistency rows (14), and
+    the objective (9), added by :meth:`attach`.  Building the base costs
+    a fraction of a millisecond against tens of milliseconds for the
+    solve, so every relay candidate of :func:`repro.core.qpp.solve_qpp`
+    gets its own factory.
 
     Every row is emitted as numpy coordinate arrays
     (:meth:`repro.lp.Model.add_rows`) from one node-by-element table of
@@ -175,7 +173,7 @@ class SSQPPLPFactory:
     into distance order and the solution is read back through it.
 
     One factory serves one ``(system, strategy, network, formulation)``
-    combination; at most one source can be attached at a time.
+    combination and one source: a second :meth:`attach` is refused.
 
     Two large-scale knobs widen the constructor without changing any
     default behaviour:
@@ -209,7 +207,6 @@ class SSQPPLPFactory:
         self._strategy = strategy
         self._network = network
         self._formulation = formulation
-        self._explicit_metric = metric
         self._metric = metric if metric is not None else network.metric()
         if placement_nodes is None:
             self._domain: tuple[Node, ...] | None = None
@@ -293,7 +290,6 @@ class SSQPPLPFactory:
         )
 
         self._model = model
-        self._base = model.checkpoint()
         self._attached = False
 
     # -- accessors -----------------------------------------------------------------
@@ -316,7 +312,7 @@ class SSQPPLPFactory:
 
     @property
     def model(self) -> Model:
-        """The underlying (shared) model; solve only while attached."""
+        """The underlying model; solve it once a source is attached."""
         return self._model
 
     @property
@@ -334,30 +330,10 @@ class SSQPPLPFactory:
         prices = solution.block_duals(self._capacity_rows).tolist()
         return dict(zip(self._capacity_nodes, prices))
 
-    def matches(
-        self,
-        system: QuorumSystem,
-        strategy: AccessStrategy,
-        network: Network,
-        formulation: str,
-        metric: "object | None" = None,
-        placement_nodes: "list[Node] | tuple[Node, ...] | None" = None,
-    ) -> bool:
-        """Whether this factory was built for exactly these inputs."""
-        domain = tuple(placement_nodes) if placement_nodes is not None else None
-        return (
-            self._system == system
-            and self._strategy is strategy
-            and self._network is network
-            and self._formulation == formulation
-            and self._explicit_metric is metric
-            and self._domain == domain
-        )
-
     # -- per-candidate structure -----------------------------------------------------
 
     def attach(self, source: Node):
-        """Add the delay-dependent structure for *source* on top of the base.
+        """Add the delay-dependent structure for *source* to the base.
 
         Returns ``(model, x_element, x_quorum, ordered_nodes, distances)``
         in :func:`build_ssqpp_lp`'s format: ``x_element[(t, u)]`` maps the
@@ -365,12 +341,11 @@ class SSQPPLPFactory:
         to the source) back to the shared node-keyed variable.  Both maps
         are read-only views whose ``columns`` attribute is the
         rank-by-element (rank-by-support-quorum) table of model columns,
-        ``-1`` where a variable is absent.  Call :meth:`release` before
-        attaching the next candidate.
+        ``-1`` where a variable is absent.
         """
         require(
             not self._attached,
-            "factory already has an attached source; call release() first",
+            "factory already has an attached source; build one factory per source",
         )
         self._network.node_index(source)
         model = self._model
@@ -475,15 +450,6 @@ class SSQPPLPFactory:
         x_quorum = _VariableGrid(xq, support, "xQ")
         return model, x_element, x_quorum, ordered_nodes, distances
 
-    def release(self) -> None:
-        """Drop the candidate-specific structure, restoring the shared base.
-
-        Idempotent: releasing with nothing attached is a no-op.
-        """
-        if self._attached:
-            self._model.rollback(self._base)
-            self._attached = False
-
 
 def build_ssqpp_lp(
     system: QuorumSystem,
@@ -519,9 +485,8 @@ def build_ssqpp_lp(
       nonzeros on large instances; equivalence is covered by tests.
 
     This is the one-shot convenience over :class:`SSQPPLPFactory`: the
-    returned model stays attached to *source* and may be freely extended
-    by the caller.  Candidate sweeps should hold a factory instead and
-    attach/release per source.
+    returned model is attached to *source* and may be freely extended
+    by the caller.
     """
     require(isinstance(network, Network), "network must be a Network")
     factory = SSQPPLPFactory(system, strategy, network, formulation=formulation)
@@ -574,7 +539,6 @@ def solve_ssqpp(
     alpha: float = 2.0,
     lp_method: str = "highs",
     formulation: str = "prefix",
-    factory: SSQPPLPFactory | None = None,
     metric: "object | None" = None,
     placement_nodes: "list[Node] | tuple[Node, ...] | None" = None,
     scale: str | None = None,
@@ -589,12 +553,6 @@ def solve_ssqpp(
     ``alpha = 2`` recovers Theorem 3.12 (delay within twice the LP bound,
     load within three times capacity).
 
-    Pass a pre-built :class:`SSQPPLPFactory` (for the same system,
-    strategy, network and formulation) to reuse the v0-independent LP
-    base across calls — the candidate sweep in
-    :func:`repro.core.qpp.solve_qpp` does this.  The factory is released
-    (rolled back to its base) before returning.
-
     ``metric`` and ``placement_nodes`` thread straight to
     :class:`SSQPPLPFactory`: a lazy metric avoids the dense all-pairs
     build, and a restricted domain shrinks the LP for large networks.
@@ -605,8 +563,7 @@ def solve_ssqpp(
     ``scale="large"`` is shorthand for ``metric=network.lazy_metric()``
     (the shared ``scale=`` gate, ``docs/api.md``): distances stream
     through the lazy row cache instead of a dense all-pairs build.  An
-    explicit ``metric=`` (or a pre-built ``factory=``, which owns its
-    metric) takes precedence.
+    explicit ``metric=`` takes precedence.
 
     Raises
     ------
@@ -616,43 +573,29 @@ def solve_ssqpp(
     check_positive(alpha - 1.0, "alpha - 1")
     check_scale(scale)
     network.node_index(source)
-    if scale == "large" and metric is None and factory is None:
+    if scale == "large" and metric is None:
         metric = network.lazy_metric()
 
-    if factory is None:
-        factory = SSQPPLPFactory(
-            system,
-            strategy,
-            network,
-            formulation=formulation,
-            metric=metric,
-            placement_nodes=placement_nodes,
-        )
-    else:
-        require(
-            isinstance(factory, SSQPPLPFactory)
-            and factory.matches(
-                system, strategy, network, formulation, metric, placement_nodes
-            ),
-            "factory was built for different inputs",
-        )
+    factory = SSQPPLPFactory(
+        system,
+        strategy,
+        network,
+        formulation=formulation,
+        metric=metric,
+        placement_nodes=placement_nodes,
+    )
     with span(
         "ssqpp.solve", source=source, alpha=alpha, formulation=formulation
     ):
-        try:
-            model, x_element, x_quorum, ordered_nodes, distances = factory.attach(
-                source
-            )
-            with span("ssqpp.lp"):
-                solution = model.solve(method=lp_method)
-            lp_value = float(solution.objective)
+        model, x_element, x_quorum, ordered_nodes, distances = factory.attach(source)
+        with span("ssqpp.lp"):
+            solution = model.solve(method=lp_method)
+        lp_value = float(solution.objective)
 
-            universe = list(system.universe)
-            n = len(ordered_nodes)
-            columns = x_element.columns
-            raw = np.where(columns >= 0, np.maximum(solution.values[columns], 0.0), 0.0)
-        finally:
-            factory.release()
+        universe = list(system.universe)
+        n = len(ordered_nodes)
+        columns = x_element.columns
+        raw = np.where(columns >= 0, np.maximum(solution.values[columns], 0.0), 0.0)
         with span("ssqpp.filter"):
             filtered = _filter_fractions(raw, alpha)
 

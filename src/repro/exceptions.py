@@ -17,7 +17,6 @@ __all__ = [
     "SolverError",
     "CapacityError",
     "LintError",
-    "ParallelSafetyError",
     "ErrorContractError",
     "DeadlineExceededError",
 ]
@@ -81,17 +80,6 @@ class LintError(ReproError):
 
     Rule *violations* are reported as findings, not exceptions; this
     error marks misuse of the linter itself.
-    """
-
-
-class ParallelSafetyError(ReproError):
-    """A callable failed the parallel-safety gate.
-
-    Raised by :func:`repro.parallel.parallel_map` when the function it
-    is asked to fan out is not certified parallel-safe by the lint
-    tier's effect certificate (``repro lint --effects --certificate``),
-    or when no certificate is available at all.  The serial fallback
-    (``on_uncertified="serial"``) downgrades this to a warning.
     """
 
 

@@ -1,7 +1,7 @@
 """The ``repro bench`` micro-suite (BENCH_3.json).
 
 A deterministic benchmark over the vectorized evaluator kernels, the
-batched metric builder, and the shared-LP solver path: every case pins
+batched metric builder, and the LP solver path: every case pins
 its seed, records wall-clock timings *and* a checksum of the computed
 values, and the CLI writes the whole report as ``BENCH_3.json``.  Result
 values are reproducible run-to-run (same seed, same libraries); timings
@@ -352,7 +352,7 @@ def _run_cases(cases: dict[str, dict], *, repeats: int, seed: int) -> None:
         "cache_hits": cache_info.hits,
     }
 
-    # -- one SSQPP solve (shared-LP machinery under the hood) --------------------
+    # -- one SSQPP solve (LP build, HiGHS, filtering, GAP rounding) --------------
     ssqpp_network = grid_network(3, 3).with_capacities(2.0)
     ssqpp_system = majority(5)
     ssqpp_strategy = AccessStrategy.uniform(ssqpp_system)
@@ -375,7 +375,7 @@ def _run_cases(cases: dict[str, dict], *, repeats: int, seed: int) -> None:
         "solve_seconds": solve_seconds,
     }
 
-    # -- QPP sweep: every candidate reuses one shared LP base --------------------
+    # -- QPP sweep: every candidate builds and solves its own LP -----------------
     sweep_seconds, qpp_result = _best_of(
         1, lambda: solve_qpp(ssqpp_system, ssqpp_strategy, network=ssqpp_network)
     )

@@ -23,8 +23,8 @@ trace``).  The effects ruleset (R400–R404, ``lint --effects``) infers
 every function's side-effect set interprocedurally — purity, global
 reads/writes, metric writes, ambient RNG, IO, spawning — checks it
 against ``@effects`` declarations, and emits the parallel-safety
-certificate (``--certificate``) that :func:`repro.parallel.parallel_map`
-gates process fan-out on.  The cost ruleset (R500–R504, ``lint
+certificate (``--certificate``) that CI publishes as an artifact.  The
+cost ruleset (R500–R504, ``lint
 --cost``) infers a symbolic asymptotic bound for every function from
 loop structure and the call graph, checks it against ``@cost``
 declarations, guards solver hot paths against undeclared superlinear

@@ -96,7 +96,7 @@ DEFAULT_BANNED_EXCEPTIONS = frozenset(
 #: longest-prefix matching.
 DEFAULT_LAYERS: tuple[tuple[str, ...], ...] = (
     ("repro.exceptions", "repro._validation", "repro._pareto", "repro._numeric"),
-    ("repro.obs", "repro._results", "repro._compat", "repro.parallel", "repro.resilience"),
+    ("repro.obs", "repro._results", "repro._compat", "repro.resilience"),
     ("repro.lp",),
     ("repro.network",),
     ("repro.quorums",),

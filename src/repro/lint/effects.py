@@ -29,11 +29,10 @@ the call graph itself documents) — it proves what it can see and
 
 The inferred map feeds the R400-series rules
 (:mod:`repro.lint.effect_rules`) and :func:`build_certificate`, which
-emits the JSON **parallel-safety certificate** consumed by
-:func:`repro.parallel.parallel_map`: every ``solve_*`` / ``optimal_*``
-entry point plus every ``@effects``-declared function, each with its
-inferred effect set and a ``parallel_safe`` verdict (effects within
-:data:`PARALLEL_SAFE_EFFECTS`).
+emits the JSON **parallel-safety certificate** that CI publishes as an
+artifact: every ``solve_*`` / ``optimal_*`` entry point plus every
+``@effects``-declared function, each with its inferred effect set and a
+``parallel_safe`` verdict (effects within :data:`PARALLEL_SAFE_EFFECTS`).
 """
 
 from __future__ import annotations
@@ -489,10 +488,7 @@ def build_certificate_for_paths(
 def validate_certificate(document: object) -> tuple[str, ...]:
     """Schema-check a certificate document; returns problem messages.
 
-    An empty tuple means the document is valid.  The same structural
-    rules are enforced (more leniently) by
-    :func:`repro.parallel.load_certificate`, which cannot import this
-    module — keep the two in sync.
+    An empty tuple means the document is valid.
     """
     problems: list[str] = []
     if not isinstance(document, dict):

@@ -14,14 +14,13 @@ Public surface:
   — solving and reading back results.
 """
 
-from .model import Constraint, LinExpr, Model, ModelCheckpoint, RowBlock, Variable
+from .model import Constraint, LinExpr, Model, RowBlock, Variable
 from .solve import Solution, solve_model
 
 __all__ = [
     "Constraint",
     "LinExpr",
     "Model",
-    "ModelCheckpoint",
     "RowBlock",
     "Variable",
     "Solution",

@@ -40,7 +40,7 @@ import numpy as np
 from .._validation import require
 from ..exceptions import ValidationError
 
-__all__ = ["Variable", "LinExpr", "Constraint", "RowBlock", "Model", "ModelCheckpoint"]
+__all__ = ["Variable", "LinExpr", "Constraint", "RowBlock", "Model"]
 
 Number = Union[int, float]
 
@@ -242,25 +242,6 @@ class _VariableRecord:
     count: int = 1
 
 
-@dataclass(frozen=True)
-class ModelCheckpoint:
-    """A restorable snapshot of a :class:`Model`'s build state.
-
-    Captures the variable/constraint counts plus the objective, so a
-    caller can extend a shared base model (extra variables, extra rows,
-    a candidate-specific objective), solve it, and then
-    :meth:`Model.rollback` to the snapshot and attach the next
-    candidate.  This is what makes the SSQPP relay-candidate sweep
-    incremental: the v0-independent rows are built once and survive
-    every rollback.
-    """
-
-    num_variables: int
-    num_constraints: int
-    objective: LinExpr | None
-    sense: str
-
-
 @dataclass
 class Model:
     """A linear program under construction.
@@ -402,53 +383,6 @@ class Model:
                     f"{self.name!r} has only {n} variables; variables from a "
                     "different model were probably mixed in"
                 )
-
-    # -- incremental reuse --------------------------------------------------------
-
-    def checkpoint(self) -> ModelCheckpoint:
-        """Snapshot the current build state for a later :meth:`rollback`.
-
-        The snapshot is cheap (counts plus a copy of the objective);
-        take one after building shared structure and before adding
-        candidate-specific variables, constraints, or an objective.
-        """
-        objective = self._objective.copy() if self._objective is not None else None
-        return ModelCheckpoint(
-            num_variables=self._num_variables,
-            num_constraints=self._num_rows,
-            objective=objective,
-            sense=self._sense,
-        )
-
-    def rollback(self, mark: ModelCheckpoint) -> None:
-        """Restore the model to a state captured by :meth:`checkpoint`.
-
-        Every variable and constraint added after the checkpoint is
-        discarded, and the objective is restored.  Variables created
-        after the checkpoint must not be used again: any expression
-        referencing them is rejected by the usual index check.
-        """
-        if not isinstance(mark, ModelCheckpoint):
-            raise ValidationError(
-                f"rollback expects a ModelCheckpoint, got {mark!r}"
-            )
-        if mark.num_variables > self._num_variables or (
-            mark.num_constraints > self._num_rows
-        ):
-            raise ValidationError(
-                f"checkpoint ({mark.num_variables} variables, "
-                f"{mark.num_constraints} constraints) is ahead of model "
-                f"{self.name!r} ({self._num_variables} variables, "
-                f"{self._num_rows} constraints); was it taken on "
-                "a different model?"
-            )
-        while self._num_variables > mark.num_variables:
-            self._num_variables -= self._variables.pop().count
-        while self._num_rows > mark.num_constraints:
-            item = self._constraints.pop()
-            self._num_rows -= item.size if isinstance(item, RowBlock) else 1
-        self._objective = mark.objective.copy() if mark.objective is not None else None
-        self._sense = mark.sense
 
     # -- introspection ------------------------------------------------------------
 

@@ -22,8 +22,8 @@ counters, times the block, and exposes the deltas as an immutable
 
 The default registry is **fork-aware**: an ``os.register_at_fork`` hook
 zeroes it in every forked child, so pooled workers (see
-:mod:`repro.parallel`) start from clean counters instead of inheriting
-— and re-reporting — the parent's totals.
+``solve_qpp(parallel="process")``) start from clean counters instead of
+inheriting — and re-reporting — the parent's totals.
 """
 
 from __future__ import annotations
@@ -288,9 +288,9 @@ def _reset_default_after_fork() -> None:
     and a pooled solve would see its own cost inflated by whatever ran
     before the fork.  Resetting in the child keeps each process's
     telemetry attributable to its own work — this is what makes
-    ``writes-metrics`` a parallel-safe effect for the certificate gate
-    in :mod:`repro.parallel` (child-side increments stay in the child;
-    they never merge back into the parent's registry).
+    ``writes-metrics`` a parallel-safe effect in the R400 certificate
+    (child-side increments stay in the child; they never merge back into
+    the parent's registry).
     """
     _DEFAULT.reset()
 

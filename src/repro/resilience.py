@@ -16,8 +16,7 @@ the declaration disagree, which is a defect, not a retry candidate.
 This module deliberately consumes the contract as a plain JSON document
 and never imports :mod:`repro.lint` — the lint tier sits at the top of
 the layer order and this runtime near the bottom, so the certificate
-file is the one-way bridge between them (the same pattern as
-:mod:`repro.parallel`).
+file is the one-way bridge between them.
 
 Typical use::
 
@@ -57,7 +56,6 @@ from .exceptions import (
     ValidationError,
 )
 from .obs.metrics import counter
-from .parallel import resolve_qualified_name
 
 __all__ = [
     "CONTRACT_ENV_VAR",
@@ -67,7 +65,7 @@ __all__ = [
     "fault_point",
     "inject_faults",
     "load_certificate",
-    "maybe_retrying",
+    "resolve_qualified_name",
     "retrying",
     "seeded_faults",
 ]
@@ -141,6 +139,32 @@ def load_certificate(
             "qualified names to escape-set entries"
         )
     return document
+
+
+def resolve_qualified_name(fn: Callable[..., Any]) -> tuple[str | None, str]:
+    """The qualified name a contract lists *fn* under, or why it has none.
+
+    Returns ``(qualified_name, "")`` on success and ``(None, reason)``
+    when *fn* has no importable module-level name: :class:`functools.partial`
+    chains are unwrapped to the underlying function (binding arguments
+    does not change what it raises), but lambdas and functions defined
+    inside other functions cannot be named by a contract.
+    """
+    target: Callable[..., Any] = fn
+    while isinstance(target, functools.partial):
+        target = target.func
+    qualname = getattr(target, "__qualname__", None)
+    module = getattr(target, "__module__", None)
+    if qualname is None or module is None:
+        return None, f"{target!r} has no __module__/__qualname__"
+    if "<lambda>" in qualname:
+        return None, "lambdas cannot be certified (no importable name)"
+    if "<locals>" in qualname:
+        return None, (
+            f"{qualname!r} is defined inside a function; only "
+            "module-level callables can be certified (and pickled)"
+        )
+    return f"{module}.{qualname}", ""
 
 
 def contract_entry(
@@ -318,37 +342,6 @@ def retrying(
         raise AssertionError("unreachable: loop returns or raises")
 
     return wrapper
-
-
-def maybe_retrying(
-    fn: Callable[..., _R],
-    *,
-    certificate: Mapping[str, Any] | str | Path | None = None,
-    attempts: int = 3,
-    backoff: float = 0.0,
-    sleep: Callable[[float], None] = time.sleep,
-    deadline: Deadline | None = None,
-) -> Callable[..., _R]:
-    """:func:`retrying` when an error contract is available, else *fn*.
-
-    The opt-in variant for callers (the serving engine, notebooks) that
-    want contract-gated retries *when configured* but must keep working
-    without a certificate: :func:`retrying` itself deliberately fails
-    closed.  *certificate* follows :func:`load_certificate` semantics,
-    so with the default ``None`` the ``$REPRO_ERROR_CONTRACT``
-    environment variable still arms retries.
-    """
-    document = load_certificate(certificate)
-    if document is None:
-        return fn
-    return retrying(
-        fn,
-        certificate=document,
-        attempts=attempts,
-        backoff=backoff,
-        sleep=sleep,
-        deadline=deadline,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -14,9 +14,15 @@
   access distribution.  At the end of each tick the engine re-evaluates
   the *current* placement's objective under the new weights (one dot
   product against the snapshot's cached per-client vector).  When the
-  relative drift exceeds ``drift_threshold``, a re-solve runs —
-  optionally under ``retrying(...)`` when an error-contract certificate
-  is available — and atomically publishes the next snapshot version.
+  relative drift exceeds ``drift_threshold``, a re-solve runs and
+  atomically publishes the next snapshot version.
+* **Failed re-solves lose nothing** — a re-solve that raises a
+  :class:`~repro.exceptions.ReproError` publishes nothing: the current
+  snapshot keeps serving, pending updates stay pending (so queries stay
+  flagged stale and the next tick tries again), and the failure is
+  counted (``serve.resolve.failed``, ``resolve_failures`` in ``stats``).
+  An explicit ``resolve`` request that fails gets an ``ok=false``
+  response in its own slot; every request of the tick is answered.
 
 The engine is single-process and deterministic: responses carry the
 tick index and snapshot version, never wall-clock values, so a seeded
@@ -35,9 +41,9 @@ import numpy as np
 from .._validation import check_integer_in_range, check_scale, require
 from ..core.placement import per_client_expected_max_delay
 from ..core.qpp import solve_qpp, warm_candidates
-from ..exceptions import ValidationError
+from ..exceptions import ReproError
 from ..obs import counter, gauge, histogram, span
-from ..resilience import fault_point, maybe_retrying
+from ..resilience import fault_point
 from .cache import PlacementSnapshot, SnapshotCache
 from .schema import (
     RESPONSE_KIND,
@@ -59,6 +65,7 @@ _BATCH_SIZE = histogram("serve.batch.size")
 _STALE_READS = counter("serve.stale.reads")
 _EXACT_READS = counter("serve.exact.reads")
 _RESOLVES = counter("serve.resolve.count")
+_RESOLVE_FAILURES = counter("serve.resolve.failed")
 _VERSION = gauge("serve.snapshot.version")
 _QUEUE_DEPTH = gauge("serve.queue.depth")
 _TICK_SECONDS = histogram("serve.tick.seconds")
@@ -69,13 +76,11 @@ class PlacementService:
 
     Parameters mirror :func:`repro.core.solve_qpp` where they are
     forwarded to it (``alpha``, ``scale``, ``landmarks``, ``lp_method``,
-    ``formulation``, ``parallel``, ``certificate``); the serving knobs
-    are ``drift_threshold`` (relative objective drift that triggers a
-    re-solve), ``max_batch`` / ``queue_limit`` (batching bounds),
-    ``warm_limit`` (re-solves restrict the candidate sweep to the best
-    sources of the previous solve), and ``retry_certificate`` (when an
-    error contract is available, re-solves run under
-    :func:`repro.resilience.retrying`).
+    ``formulation``); the serving knobs are ``drift_threshold``
+    (relative objective drift that triggers a re-solve), ``max_batch`` /
+    ``queue_limit`` (batching bounds), and ``warm_limit`` (re-solves
+    restrict the candidate sweep to the best sources of the previous
+    solve).
     """
 
     def __init__(
@@ -93,9 +98,6 @@ class PlacementService:
         landmarks: int = 16,
         lp_method: str = "highs",
         formulation: str = "prefix",
-        parallel: str | None = None,
-        certificate: Any = None,
-        retry_certificate: Any = None,
         warm_limit: int | None = None,
     ) -> None:
         require(
@@ -118,10 +120,7 @@ class PlacementService:
         self._landmarks = int(landmarks)
         self._lp_method = lp_method
         self._formulation = formulation
-        self._parallel = parallel
-        self._certificate = certificate
         self._warm_limit = warm_limit
-        self._solver = maybe_retrying(solve_qpp, certificate=retry_certificate)
         self._view = network.lazy_metric() if scale == "large" else None
         self._node_index: dict[Any, int] = {
             node: index for index, node in enumerate(network.nodes)
@@ -150,6 +149,7 @@ class PlacementService:
         self._stale_reads = 0
         self._exact_reads = 0
         self._resolves = 0
+        self._resolve_failures = 0
         self._publish(rates if rates is not None else None, candidates=None)
 
     # -- public read-only state ------------------------------------------
@@ -218,7 +218,7 @@ class PlacementService:
         self, rates: Mapping[Any, float] | None, *, candidates: Any
     ) -> PlacementSnapshot:
         fault_point("serve.resolve")
-        result = self._solver(
+        result = solve_qpp(
             self._system,
             self._strategy,
             network=self._network,
@@ -227,8 +227,6 @@ class PlacementService:
             candidate_sources=candidates,
             lp_method=self._lp_method,
             formulation=self._formulation,
-            parallel=self._parallel,
-            certificate=self._certificate,
             scale=self._scale,
             landmarks=self._landmarks,
         )
@@ -252,12 +250,22 @@ class PlacementService:
         return snapshot
 
     def _resolve_now(self) -> PlacementSnapshot:
+        """Re-solve and publish the next snapshot.
+
+        A :class:`~repro.exceptions.ReproError` publishes nothing and
+        leaves the pending updates pending; it is counted and re-raised.
+        """
         previous = self._cache.current.result
         candidates = None
         if self._warm_limit is not None and getattr(previous, "per_source", None):
             candidates = warm_candidates(previous, limit=self._warm_limit)
-        with span("serve.resolve", version=self._cache.version):
-            snapshot = self._publish(self._effective_rates(), candidates=candidates)
+        try:
+            with span("serve.resolve", version=self._cache.version):
+                snapshot = self._publish(self._effective_rates(), candidates=candidates)
+        except ReproError:
+            self._resolve_failures += 1
+            _RESOLVE_FAILURES.inc()
+            raise
         self._resolves += 1
         self._pending_updates = 0
         _RESOLVES.inc()
@@ -354,6 +362,7 @@ class PlacementService:
             stale_reads=self._stale_reads,
             exact_reads=self._exact_reads,
             resolves=self._resolves,
+            resolve_failures=self._resolve_failures,
             drift=self.drift(),
         )
 
@@ -372,7 +381,9 @@ class PlacementService:
         request is processed*: an earlier ``resolve`` in the same batch
         is visible to later queries, while the end-of-tick drift
         re-solve is not — those queries were (deliberately) epsilon-
-        stale and are counted in ``serve.stale.reads``.
+        stale and are counted in ``serve.stale.reads``.  Every drained
+        request gets exactly one response, in order, even when a
+        re-solve fails.
         """
         if not self._queue:
             return []
@@ -393,7 +404,7 @@ class PlacementService:
                         "resolve": self._handle_resolve,
                     }[document["op"]]
                     responses.append(handler(document))
-                except ValidationError as exc:
+                except ReproError as exc:
                     responses.append(
                         self.error_response(str(exc), request=document)
                     )
@@ -401,7 +412,12 @@ class PlacementService:
                 self._pending_updates > 0
                 and self.drift() > self._drift_threshold
             ):
-                self._resolve_now()
+                try:
+                    self._resolve_now()
+                except ReproError:
+                    # Counted by _resolve_now; the current snapshot keeps
+                    # serving and the next tick re-checks the drift.
+                    pass
         _QUEUE_DEPTH.set(float(len(self._queue)))
         _TICK_SECONDS.observe(time.perf_counter() - started)
         return responses

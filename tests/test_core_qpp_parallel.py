@@ -1,40 +1,24 @@
-"""Certificate-gated parallel candidate sweep in :func:`solve_qpp`.
+"""The pooled candidate sweep in :func:`solve_qpp` (``parallel="process"``).
 
-The acceptance bar for the parallel path is *byte identity*: fanning the
-relay-candidate sweep across a process pool must reproduce the serial
+The acceptance bar for the pooled path is *byte identity*: mapping the
+relay-candidate sweep over a process pool must reproduce the serial
 sweep exactly — objective, winning source, lower bound, per-source LP
-values and placements — on a seeded 100-node benchmark instance.  The
-gate itself is also exercised: without a parallel-safety certificate the
-solver refuses rather than silently running uncertified workers.
+values and placements — on a seeded 100-node benchmark instance.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import solve_qpp
-from repro.core.qpp import _qpp_candidate_worker
-from repro.exceptions import ParallelSafetyError, ValidationError
-from repro.lint import build_certificate_for_paths
+from repro.exceptions import ValidationError
 from repro.network import random_geometric_network, uniform_capacities
 from repro.quorums import AccessStrategy, majority
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
-
-pytestmark = pytest.mark.skipif(
-    not SRC.is_dir(), reason="source tree not present"
-)
-
-
-@pytest.fixture(scope="module")
-def certificate():
-    """The real certificate over ``src`` — what CI ships as an artifact."""
-    return build_certificate_for_paths([SRC])
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +38,8 @@ def placement_mapping(system, placement):
     return {u: placement[u] for u in system.universe}
 
 
-def test_worker_is_certified_parallel_safe(certificate):
-    entry = certificate["functions"]["repro.core.qpp._qpp_candidate_worker"]
-    assert entry["parallel_safe"] is True
-    assert entry["declared"] == ["reads-global", "writes-metrics"]
-
-
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork start method")
-def test_parallel_sweep_is_byte_identical_to_serial(certificate, bench_instance):
+def test_parallel_sweep_is_byte_identical_to_serial(bench_instance):
     system, strategy, network, candidates = bench_instance
     serial = solve_qpp(
         system,
@@ -77,7 +55,6 @@ def test_parallel_sweep_is_byte_identical_to_serial(certificate, bench_instance)
         alpha=2.0,
         candidate_sources=candidates,
         parallel="process",
-        certificate=certificate,
         max_workers=2,
     )
     assert parallel.objective == serial.objective
@@ -96,42 +73,6 @@ def test_parallel_sweep_is_byte_identical_to_serial(certificate, bench_instance)
         )
 
 
-@pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork start method")
-def test_parallel_sweep_accepts_certificate_path(tmp_path, certificate, bench_instance):
-    from repro.lint import render_certificate
-
-    system, strategy, network, candidates = bench_instance
-    path = tmp_path / "certificate.json"
-    path.write_text(render_certificate(certificate), encoding="utf-8")
-    result = solve_qpp(
-        system,
-        strategy,
-        network=network,
-        alpha=2.0,
-        candidate_sources=candidates[:1],
-        parallel="process",
-        certificate=path,
-        max_workers=2,
-    )
-    assert result.source == candidates[0]
-
-
-def test_parallel_without_certificate_refuses(bench_instance, monkeypatch):
-    from repro.parallel import CERTIFICATE_ENV_VAR
-
-    monkeypatch.delenv(CERTIFICATE_ENV_VAR, raising=False)
-    system, strategy, network, candidates = bench_instance
-    with pytest.raises(ParallelSafetyError, match="certificate"):
-        solve_qpp(
-            system,
-            strategy,
-            network=network,
-            alpha=2.0,
-            candidate_sources=candidates[:1],
-            parallel="process",
-        )
-
-
 def test_unknown_parallel_mode_is_rejected(bench_instance):
     system, strategy, network, candidates = bench_instance
     with pytest.raises(ValidationError, match="parallel"):
@@ -144,19 +85,36 @@ def test_unknown_parallel_mode_is_rejected(bench_instance):
         )
 
 
+def test_max_workers_must_be_positive(bench_instance):
+    system, strategy, network, candidates = bench_instance
+    with pytest.raises(ValidationError, match="max_workers"):
+        solve_qpp(
+            system,
+            strategy,
+            network=network,
+            candidate_sources=candidates[:1],
+            parallel="process",
+            max_workers=0,
+        )
+
+
 def test_worker_matches_inline_single_source_solve(bench_instance):
+    """The per-candidate call the pool runs is one plain single-source solve."""
+    from repro.core.qpp import _solve_candidate
     from repro.core.ssqpp import solve_ssqpp
 
     system, strategy, network, candidates = bench_instance
     source = candidates[0]
-    via_worker = _qpp_candidate_worker(
+    via_worker = _solve_candidate(
         source,
+        None,
         system=system,
         strategy=strategy,
         network=network,
         alpha=2.0,
         lp_method="highs",
         formulation="prefix",
+        metric=None,
     )
     direct = solve_ssqpp(
         system,
@@ -176,7 +134,7 @@ def test_worker_matches_inline_single_source_solve(bench_instance):
 
 
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork start method")
-def test_pooled_sweep_leaves_warmed_lazy_rows_intact(certificate, bench_instance):
+def test_pooled_sweep_leaves_warmed_lazy_rows_intact(bench_instance):
     """Byte-identical pooled sweep with a warmed LazyMetric in the parent.
 
     The row counters are fork-aware (``os.register_at_fork`` zeroes the
@@ -208,7 +166,6 @@ def test_pooled_sweep_leaves_warmed_lazy_rows_intact(certificate, bench_instance
         alpha=2.0,
         candidate_sources=candidates,
         parallel="process",
-        certificate=certificate,
         max_workers=2,
     )
     assert pooled.objective == serial.objective

@@ -155,52 +155,12 @@ class TestLargerAlphaTradeoff:
 
 
 class TestSharedLPFactory:
-    """The incremental candidate-sweep machinery (SSQPPLPFactory)."""
+    """The two-step LP build (SSQPPLPFactory): base, then one source."""
 
     def _instance(self, rng):
         network = uniform_capacities(random_geometric_network(7, 0.6, rng=rng), 1.0)
         system = majority(3)
         return system, AccessStrategy.uniform(system), network
-
-    def test_shared_factory_matches_fresh_solves(self, rng):
-        from repro.core import SSQPPLPFactory
-
-        system, strategy, network = self._instance(rng)
-        factory = SSQPPLPFactory(system, strategy, network)
-        for source in network.nodes:
-            shared = solve_ssqpp(system, strategy, network, source, factory=factory)
-            fresh = solve_ssqpp(system, strategy, network, source)
-            assert shared.lp_value == pytest.approx(fresh.lp_value, abs=1e-9)
-            assert shared.delay == pytest.approx(fresh.delay, abs=1e-9)
-            assert shared.placement.as_dict() == fresh.placement.as_dict()
-
-    def test_factory_released_after_each_solve(self, rng):
-        from repro.core import SSQPPLPFactory
-
-        system, strategy, network = self._instance(rng)
-        factory = SSQPPLPFactory(system, strategy, network)
-        base_vars = factory.model.num_variables
-        solve_ssqpp(system, strategy, network, network.nodes[0], factory=factory)
-        assert factory.model.num_variables == base_vars
-
-    def test_factory_released_even_on_solver_failure(self, rng):
-        from repro.core import SSQPPLPFactory
-
-        system, strategy, network = self._instance(rng)
-        factory = SSQPPLPFactory(system, strategy, network)
-        base_vars = factory.model.num_variables
-        from repro.exceptions import SolverError
-
-        with pytest.raises(SolverError):
-            solve_ssqpp(
-                system, strategy, network, network.nodes[0],
-                factory=factory, lp_method="no-such-method",
-            )
-        assert factory.model.num_variables == base_vars
-        result = solve_ssqpp(
-            system, strategy, network, network.nodes[0], factory=factory
-        )
-        assert result.lp_value >= 0.0
 
     def test_attach_twice_without_release_rejected(self, rng):
         from repro.core import SSQPPLPFactory
@@ -208,21 +168,8 @@ class TestSharedLPFactory:
         system, strategy, network = self._instance(rng)
         factory = SSQPPLPFactory(system, strategy, network)
         factory.attach(network.nodes[0])
-        with pytest.raises(ValidationError, match="release"):
+        with pytest.raises(ValidationError, match="one factory per source"):
             factory.attach(network.nodes[1])
-        factory.release()
-        factory.attach(network.nodes[1])
-
-    def test_mismatched_factory_rejected(self, rng):
-        from repro.core import SSQPPLPFactory
-
-        system, strategy, network = self._instance(rng)
-        other_network = path_network(4)
-        factory = SSQPPLPFactory(system, strategy, other_network)
-        with pytest.raises(ValidationError, match="different inputs"):
-            solve_ssqpp(
-                system, strategy, network, network.nodes[0], factory=factory
-            )
 
     def test_cumulative_formulation_through_factory(self, rng):
         from repro.core import SSQPPLPFactory
@@ -230,9 +177,6 @@ class TestSharedLPFactory:
         system, strategy, network = self._instance(rng)
         factory = SSQPPLPFactory(system, strategy, network, formulation="cumulative")
         source = network.nodes[0]
-        shared = solve_ssqpp(
-            system, strategy, network, source,
-            formulation="cumulative", factory=factory,
-        )
+        model = factory.attach(source)[0]
         fresh = solve_ssqpp(system, strategy, network, source)
-        assert shared.lp_value == pytest.approx(fresh.lp_value, abs=1e-6)
+        assert model.solve().objective == pytest.approx(fresh.lp_value, abs=1e-6)

@@ -518,7 +518,7 @@ def test_r403_fires_on_lambda_and_local_function(tmp_path):
         "pkg",
         {
             "mod": """
-            from repro.parallel import parallel_map
+            from pkg.fanout import parallel_map
 
             __all__ = ["fan_out"]
 
@@ -548,7 +548,7 @@ def test_r403_silent_for_module_level_callables(tmp_path):
             "mod": """
             from functools import partial
 
-            from repro.parallel import parallel_map
+            from pkg.fanout import parallel_map
 
             __all__ = ["fan_out", "worker"]
 
@@ -733,9 +733,6 @@ def test_src_certificate_covers_every_solver_entry_point():
     context = build_program_context(parsed, config, cache=cache)
     for qualified in entry_point_names(context):
         assert qualified in functions, f"{qualified} missing from certificate"
-    # The qpp pool worker is certified parallel-safe.
-    worker = functions["repro.core.qpp._qpp_candidate_worker"]
-    assert worker["parallel_safe"] is True
 
 
 def test_effect_context_builds_over_src_package(tmp_path):

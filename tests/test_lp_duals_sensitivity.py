@@ -104,19 +104,6 @@ class TestRowBlocks:
         with pytest.raises(SolverError, match="does not belong"):
             m.solve().block_duals(foreign)
 
-    def test_rollback_removes_whole_blocks(self):
-        m, cols = self._model()
-        m.add_rows([0], cols[:1], [1.0], [1.0], "<=")
-        mark = m.checkpoint()
-        extra = m.add_variables(4, name="w")
-        m.add_rows([0, 1], extra[:2], [1.0, 1.0], [1.0, 1.0], "==")
-        assert (m.num_variables, m.num_constraints) == (7, 3)
-        m.rollback(mark)
-        assert (m.num_variables, m.num_constraints) == (3, 1)
-        assert m.variable_name(2) == "y[2]"
-        with pytest.raises(ValidationError):
-            m.variable_name(3)
-
     def test_add_rows_validates_its_arrays(self):
         m, cols = self._model()
         with pytest.raises(ValidationError, match="sense"):
@@ -127,6 +114,9 @@ class TestRowBlocks:
             m.add_rows([1], cols[:1], [1.0], [1.0], "<=")
         with pytest.raises(ValidationError, match="column outside"):
             m.add_rows([0], [3], [1.0], [1.0], "<=")
+        assert m.variable_name(2) == "y[2]"
+        with pytest.raises(ValidationError):
+            m.variable_name(3)
 
 
 class TestCapacitySensitivity:

@@ -167,58 +167,3 @@ class TestSolving:
         m = Model()
         x = m.variable("x")
         assert m.bounds() == [(0.0, math.inf)]
-
-
-class TestCheckpointRollback:
-    def test_rollback_restores_counts_and_objective(self):
-        from repro.lp import ModelCheckpoint
-
-        m = Model()
-        x, y = m.variable("x", lb=0.0), m.variable("y", lb=0.0)
-        m.add_constraint(x + y >= 1, name="base")
-        m.minimize(x + 2 * y)
-        mark = m.checkpoint()
-        assert isinstance(mark, ModelCheckpoint)
-
-        z = m.variable("z", lb=0.0)
-        m.add_constraint(z + x >= 3, name="extra")
-        m.minimize(z + x)
-        m.rollback(mark)
-
-        base_solution = m.solve()
-        assert base_solution.objective == pytest.approx(1.0)
-
-    def test_rollback_then_rebuild_is_repeatable(self):
-        m = Model()
-        x = m.variable("x", lb=0.0, ub=4.0)
-        mark = m.checkpoint()
-        values = []
-        for bound in (1.0, 2.0, 3.0):
-            y = m.variable("y", lb=0.0)
-            m.add_constraint(y - x >= bound, name="gap")
-            m.minimize(y)
-            values.append(m.solve().objective)
-            m.rollback(mark)
-        assert values == pytest.approx([1.0, 2.0, 3.0])
-
-    def test_rollback_rejects_foreign_or_future_marks(self):
-        m = Model()
-        m.variable("x")
-        mark = m.checkpoint()
-        with pytest.raises(ValidationError):
-            m.rollback("not a checkpoint")
-        other = Model()
-        other.variable("a")
-        other.variable("b")
-        future = other.checkpoint()
-        with pytest.raises(ValidationError):
-            m.rollback(future)
-
-    def test_checkpoint_with_no_objective(self):
-        m = Model()
-        x = m.variable("x", lb=0.0, ub=2.0)
-        mark = m.checkpoint()
-        m.maximize(x)
-        m.rollback(mark)
-        m.maximize(x)
-        assert m.solve().objective == pytest.approx(2.0)

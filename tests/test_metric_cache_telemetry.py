@@ -11,6 +11,7 @@ dense-cache fork test in tests/test_parallel.py).
 from __future__ import annotations
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -21,7 +22,6 @@ from repro.network import (
     metric_cache_info,
 )
 from repro.obs.metrics import counter, gauge
-from repro.parallel import parallel_map
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
@@ -29,21 +29,6 @@ FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 def read_row_miss_counter(_):
     """Pool probe: the child's view of the lazy-metric miss counter."""
     return counter("metric.cache.row_misses").value
-
-
-def _certificate():
-    return {
-        "kind": "repro-parallel-safety-certificate",
-        "version": 1,
-        "policy": {"parallel_safe_effects": ["reads-global", "writes-metrics"]},
-        "functions": {
-            f"{read_row_miss_counter.__module__}.{read_row_miss_counter.__qualname__}": {
-                "effects": ["reads-global"],
-                "parallel_safe": True,
-            }
-        },
-        "globals": {"variables": []},
-    }
 
 
 # -- counter flow through both info surfaces ------------------------------------------
@@ -152,12 +137,10 @@ def test_forked_children_start_with_zero_row_counters(small_network):
         lazy.distances_from(node)
     parent_misses = counter("metric.cache.row_misses").value
     assert parent_misses == small_network.size
-    child_views = parallel_map(
-        read_row_miss_counter,
-        [0, 1],
-        certificate=_certificate(),
-        max_workers=2,
-    )
+    with ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        child_views = list(pool.map(read_row_miss_counter, [0, 1]))
     # os.register_at_fork zeroes the default registry in each child, so
     # the lazy-metric traffic accumulated here must not leak through...
     assert child_views == [0.0, 0.0]

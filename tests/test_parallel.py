@@ -1,36 +1,29 @@
-"""The certificate-gated process-parallelism runtime.
+"""Process-pool hygiene.
 
-Covers certificate loading (dict / path / environment / malformed),
-qualified-name resolution through ``functools.partial`` chains, the
-:func:`parallel_map` gate in all three outcomes (certified fan-out,
-refusal, serial degradation), and the fork-awareness of the default
-metrics registry (a pooled child must not inherit the parent's
-counters).
+A callable sent to a process pool (``solve_qpp(parallel="process")``)
+or looked up in the error contract (:mod:`repro.resilience`) needs an
+importable module-level name: qualified-name resolution unwraps
+``functools.partial`` chains and rejects lambdas and local functions.
+Forked pool children must also start from clean metric counters
+instead of inheriting the parent's.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import pytest
 
-from repro.exceptions import ParallelSafetyError, ValidationError
 from repro.obs.metrics import counter, default_registry
-from repro.parallel import (
-    CERTIFICATE_ENV_VAR,
-    certificate_entry,
-    load_certificate,
-    parallel_map,
-    resolve_qualified_name,
-)
+from repro.resilience import resolve_qualified_name
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 
 def double(x):
-    """Module-level, hence picklable and certifiable by name."""
+    """Module-level, hence picklable and nameable."""
     return 2 * x
 
 
@@ -41,74 +34,6 @@ def scaled(x, scale):
 def read_fork_counter(_):
     """Pool probe: the child's view of the parent's counter."""
     return counter("parallel.fork_probe").value
-
-
-def certificate_for(*functions, parallel_safe=True):
-    return {
-        "kind": "repro-parallel-safety-certificate",
-        "version": 1,
-        "policy": {"parallel_safe_effects": ["reads-global", "writes-metrics"]},
-        "functions": {
-            f"{fn.__module__}.{fn.__qualname__}": {
-                "effects": ["reads-global"] if parallel_safe else ["writes-global"],
-                "parallel_safe": parallel_safe,
-            }
-            for fn in functions
-        },
-        "globals": {"variables": []},
-    }
-
-
-# -- load_certificate ----------------------------------------------------------------
-
-
-def test_load_certificate_accepts_mapping_and_path(tmp_path):
-    document = certificate_for(double)
-    assert load_certificate(document)["functions"] == document["functions"]
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
-    assert load_certificate(path)["kind"] == document["kind"]
-    assert load_certificate(str(path))["version"] == 1
-
-
-def test_load_certificate_consults_environment(tmp_path, monkeypatch):
-    monkeypatch.delenv(CERTIFICATE_ENV_VAR, raising=False)
-    assert load_certificate(None) is None
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(certificate_for(double)), encoding="utf-8")
-    monkeypatch.setenv(CERTIFICATE_ENV_VAR, str(path))
-    assert load_certificate(None) is not None
-
-
-def test_load_certificate_rejects_malformed(tmp_path):
-    missing = tmp_path / "absent.json"
-    with pytest.raises(ValidationError, match="cannot read"):
-        load_certificate(missing)
-
-    bad_json = tmp_path / "bad.json"
-    bad_json.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValidationError, match="not valid JSON"):
-        load_certificate(bad_json)
-
-    array = tmp_path / "array.json"
-    array.write_text("[1, 2]", encoding="utf-8")
-    with pytest.raises(ValidationError, match="JSON object"):
-        load_certificate(array)
-
-    with pytest.raises(ValidationError, match="kind"):
-        load_certificate({"kind": "something-else", "functions": {}})
-
-    with pytest.raises(ValidationError, match="functions"):
-        load_certificate({"kind": "repro-parallel-safety-certificate"})
-
-
-def test_malformed_env_certificate_is_an_error_not_absence(tmp_path, monkeypatch):
-    """A broken $REPRO_PARALLEL_CERTIFICATE must not read as 'no certificate'."""
-    bad = tmp_path / "bad.json"
-    bad.write_text("nope", encoding="utf-8")
-    monkeypatch.setenv(CERTIFICATE_ENV_VAR, str(bad))
-    with pytest.raises(ValidationError):
-        parallel_map(double, [1], on_uncertified="serial")
 
 
 # -- name resolution -----------------------------------------------------------------
@@ -132,71 +57,6 @@ def test_resolve_qualified_name_rejects_anonymous_callables():
     assert qualified is None and "module-level" in reason
 
 
-def test_certificate_entry_lookup():
-    document = certificate_for(double)
-    entry = certificate_entry(document, double)
-    assert entry is not None and entry["parallel_safe"] is True
-    assert certificate_entry(document, partial(double)) == entry
-    assert certificate_entry(document, scaled) is None
-    assert certificate_entry(document, lambda x: x) is None
-
-
-# -- parallel_map --------------------------------------------------------------------
-
-
-def test_parallel_map_validates_its_own_arguments():
-    with pytest.raises(ValidationError, match="on_uncertified"):
-        parallel_map(double, [1], on_uncertified="ignore")
-    with pytest.raises(ValidationError, match="max_workers"):
-        parallel_map(double, [1], certificate=certificate_for(double), max_workers=0)
-
-
-def test_parallel_map_refuses_without_certificate(monkeypatch):
-    monkeypatch.delenv(CERTIFICATE_ENV_VAR, raising=False)
-    with pytest.raises(ParallelSafetyError, match="no parallel-safety certificate"):
-        parallel_map(double, [1, 2])
-
-
-def test_parallel_map_refuses_uncovered_and_unsafe_functions():
-    with pytest.raises(ParallelSafetyError, match="not covered"):
-        parallel_map(scaled, [1], certificate=certificate_for(double))
-    unsafe = certificate_for(double, parallel_safe=False)
-    with pytest.raises(ParallelSafetyError, match="not parallel-safe"):
-        parallel_map(double, [1], certificate=unsafe)
-    with pytest.raises(ParallelSafetyError, match="lambda"):
-        parallel_map(lambda x: x, [1], certificate=certificate_for(double))
-
-
-def test_parallel_map_serial_fallback_warns_and_preserves_results():
-    with pytest.warns(UserWarning, match="falling back to serial"):
-        results = parallel_map(
-            lambda x: x + 10, [1, 2, 3], on_uncertified="serial"
-        )
-    assert results == [11, 12, 13]
-
-
-@pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork start method")
-def test_parallel_map_certified_fan_out_matches_serial():
-    items = list(range(8))
-    results = parallel_map(
-        double, items, certificate=certificate_for(double), max_workers=2
-    )
-    assert results == [double(x) for x in items]
-
-
-@pytest.mark.skipif(not FORK_AVAILABLE, reason="needs fork start method")
-def test_parallel_map_certified_partial_fan_out():
-    bound = partial(scaled, scale=5)
-    results = parallel_map(
-        bound, [1, 2, 3], certificate=certificate_for(scaled), max_workers=2
-    )
-    assert results == [5, 10, 15]
-
-
-def test_parallel_map_empty_iterable_short_circuits():
-    assert parallel_map(double, [], certificate=certificate_for(double)) == []
-
-
 # -- fork-aware default metrics registry (satellite: registry hygiene) ---------------
 
 
@@ -205,12 +65,10 @@ def test_forked_children_start_with_a_reset_default_registry():
     parent = counter("parallel.fork_probe")
     parent.inc(5.0)
     assert parent.value == 5.0
-    child_views = parallel_map(
-        read_fork_counter,
-        [0, 1],
-        certificate=certificate_for(read_fork_counter),
-        max_workers=2,
-    )
+    with ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        child_views = list(pool.map(read_fork_counter, [0, 1]))
     # os.register_at_fork zeroes the default registry in each child, so
     # the children must not observe the parent's accumulated count...
     assert child_views == [0.0, 0.0]

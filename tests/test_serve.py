@@ -5,7 +5,8 @@ end-to-end run through ``repro serve``) lives in
 ``tests/test_serve_session.py``.
 """
 
-from pathlib import Path
+import io
+import json
 
 import numpy as np
 import pytest
@@ -14,16 +15,15 @@ from repro.core import solve_partial_deployment, solve_total_delay
 from repro.core.qpp import solve_qpp, warm_candidates
 from repro.core.rw_placement import solve_rw_placement, solve_rw_ssqpp
 from repro.core.ssqpp import solve_ssqpp
-from repro.exceptions import ValidationError
-from repro.lint import build_error_contract_for_paths
+from repro.exceptions import InfeasibleError, SolverError, ValidationError
 from repro.network.generators import (
     cycle_network,
     grid_network,
     random_geometric_network,
 )
 from repro.obs.metrics import default_registry
-from repro.quorums import AccessStrategy, QuorumSystem, grid_rw, majority
-from repro.resilience import maybe_retrying
+from repro.quorums import AccessStrategy, QuorumSystem, grid, grid_rw, majority
+from repro.resilience import inject_faults
 from repro.serve import (
     REQUEST_KIND,
     REQUEST_OPS,
@@ -33,11 +33,10 @@ from repro.serve import (
     PlacementSnapshot,
     SnapshotCache,
     serve_request,
+    serve_session,
     validate_serve_request,
     validate_serve_response,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -252,28 +251,6 @@ class TestScaleUnification:
         assert large.average_delay == pytest.approx(dense.average_delay)
 
 
-class TestMaybeRetrying:
-    def test_without_certificate_returns_fn_unchanged(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ERROR_CONTRACT", raising=False)
-
-        def probe():
-            return 41
-
-        assert maybe_retrying(probe) is probe
-
-    def test_with_certificate_wraps_in_retrying(self):
-        contract = build_error_contract_for_paths([SRC])
-
-        def probe():
-            return 41
-
-        probe.__module__ = "repro.core.qpp"
-        probe.__qualname__ = "solve_qpp"
-        wrapped = maybe_retrying(probe, certificate=contract)
-        assert wrapped is not probe
-        assert wrapped() == 41
-
-
 class TestWarmCandidates:
     def test_ranks_previous_winner_first(self, grid_instance):
         system, strategy, network = grid_instance
@@ -412,3 +389,79 @@ class TestPlacementServiceEngine:
         assert stats["stale_reads"] == 0
         assert stats["resolves"] == 0
         assert stats["drift"] > 0.0
+
+
+class TestResolveFailures:
+    """A re-solve that raises loses no response and keeps the snapshot."""
+
+    def test_failed_drift_resolve_keeps_the_batch(self):
+        # The served network of the benchmark's serve workload.
+        network = random_geometric_network(
+            30, 0.4, rng=np.random.default_rng(0)
+        ).with_capacities(2.0)
+        system = grid(3)
+        service = PlacementService(
+            system,
+            AccessStrategy.uniform(system),
+            network,
+            drift_threshold=0.0,
+            warm_limit=4,
+        )
+        client = network.nodes[3]
+        service.submit(serve_request("query", id=1, client=client))
+        service.submit(serve_request("update", id=2, client=client, rate=0.5))
+        service.submit(serve_request("query", id=3, client=client))
+        with inject_faults({"serve.resolve": [SolverError("injected")]}):
+            responses = service.tick()
+        assert [r["id"] for r in responses] == [1, 2, 3]
+        assert all(r["ok"] for r in responses)
+        assert [r.get("stale") for r in responses] == [False, None, True]
+        assert service.version == 1 and service.resolves == 0
+        assert default_registry().counter("serve.resolve.failed").value == 1.0
+
+        # The update is still pending: the next query is stale, and the
+        # fault-free tick re-solves and publishes version 2.
+        service.submit(serve_request("query", id=4, client=client))
+        service.submit(serve_request("stats", id=5))
+        responses = service.tick()
+        assert responses[0]["stale"] is True
+        assert responses[1]["resolve_failures"] == 1
+        assert service.version == 2 and service.resolves == 1
+
+    def test_failed_resolve_request_gets_an_error_in_its_slot(self, grid_instance):
+        service = _service(grid_instance, drift_threshold=float("inf"))
+        client = grid_instance[2].nodes[0]
+        service.submit(serve_request("query", id=1, client=client))
+        service.submit(serve_request("resolve", id=2))
+        service.submit(serve_request("stats", id=3))
+        with inject_faults({"serve.resolve": [InfeasibleError("no room")]}):
+            responses = service.tick()
+        assert [r["id"] for r in responses] == [1, 2, 3]
+        assert [r["ok"] for r in responses] == [True, False, True]
+        assert responses[1]["error"] == "no room"
+        validate_serve_response(responses[1])
+        validate_serve_response(responses[2])
+        assert responses[2]["resolve_failures"] == 1
+        assert responses[2]["resolves"] == 0
+        assert service.version == 1
+
+    def test_session_writes_one_line_per_request(self, grid_instance):
+        service = _service(grid_instance, drift_threshold=0.0)
+        client = str(grid_instance[2].nodes[0])
+        requests = [
+            serve_request("query", id=1, client=client),
+            serve_request("update", id=2, client=client, rate=25.0),
+            serve_request("query", id=3, client=client),
+            serve_request("resolve", id=4),
+            serve_request("stats", id=5),
+        ]
+        lines = [json.dumps(request) for request in requests]
+        out = io.StringIO()
+        faults = [SolverError("first"), SolverError("second")]
+        with inject_faults({"serve.resolve": faults}):
+            summary = serve_session(service, lines, out)
+        written = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["id"] for r in written] == [1, 2, 3, 4, 5]
+        assert summary.responses == 5 and summary.errors == 1
+        assert service.version == 1
+        assert default_registry().counter("serve.resolve.failed").value == 2.0
