@@ -10,7 +10,10 @@ algorithm here is the paper's bicriteria approximation:
 1. **LP.**  Solve the relaxation (9)-(14): variables ``x_tu`` ("element
    ``u`` sits on the ``t``-th closest node to ``v0``") and ``x_tQ``
    ("quorum ``Q`` is fully contained in the ``t`` closest nodes"), with
-   assignment, capacity and prefix-consistency constraints.
+   assignment, capacity and prefix-consistency constraints.  The LP
+   spans only the shortest distance-order prefix whose nodes able to
+   host the heaviest element cover the total load, which has the same
+   optimum ``Z*`` as the LP over every node (see :func:`_covering_prefix`).
 2. **Filtering** (Claim 3.8 / Lemma 3.9, generalized to ``alpha``).
    Scale each element's fractional assignment by ``alpha`` and truncate
    the cumulative mass at 1 — "moving mass toward the source" — so that
@@ -183,9 +186,10 @@ class SSQPPLPFactory:
       the distance ordering instead of forcing the dense cached build.
     * ``placement_nodes`` — restrict the placement domain (and the LP's
       variables, capacity rows and distance ranks) to a subset of the
-      network.  The LP then solves the *restricted* problem: its optimum
-      upper-bounds the unrestricted ``Z*``, so certified lower bounds
-      derived from it are void — callers must not propagate them.
+      network.  The LP then solves the *restricted* problem, whose
+      optimum upper-bounds the unrestricted ``Z*`` in general;
+      :func:`solve_ssqpp` passes the capacity-covering prefix
+      (:func:`_covering_prefix`), on which the two optima are equal.
     """
 
     def __init__(
@@ -493,6 +497,48 @@ def build_ssqpp_lp(
     return factory.attach(source)
 
 
+#: Relative slack on the total load the covering prefix must reach, so
+#: that float rounding in the capacity sum can only lengthen the prefix.
+_COVER_SLACK = 1.0 + 1e-12
+
+
+def _covering_prefix(
+    network: Network, row: np.ndarray, loads: np.ndarray
+) -> list[Node] | None:
+    """``P(v0)``: the placement domain of the source whose distance row is *row*.
+
+    ``P`` is the shortest prefix of the (distance, node index) order — the
+    order :meth:`SSQPPLPFactory.attach` ranks by — in which the nodes
+    able to host the heaviest element (``cap(v) >= max_u load(u)``, with
+    the tolerance of (13)) have total capacity at least ``sum_u load(u)``.
+    Returns ``None``, the whole network, when no proper prefix covers the
+    load, so infeasible inputs fail exactly as on the full domain.
+
+    The LP (9)-(14) restricted to ``P`` has the same optimum ``Z*`` as
+    the full LP.  Take a full optimum with the least mass outside ``P``
+    and suppose element ``u`` has some.  Then the eligible nodes of ``P``
+    carry less than ``sum_u load(u)``, at most their capacity, so one of
+    them has slack and (13) lets it host ``u``.  Moving a little of u's
+    mass there, to an earlier rank, only raises u's prefix sums: (14)
+    still holds with the same quorum variables and (9) is unchanged — a
+    contradiction.  With every element inside ``P``, each quorum is
+    complete by the last rank of ``P``, so quorum mass at later ranks
+    moves there without raising (9).  So Theorem 3.7's bounds, which hold
+    for any optimal LP solution, and the Theorem 3.3 lower bound carry
+    over unchanged.
+    """
+    n = network.size
+    capacities = np.fromiter(network.capacities().values(), dtype=float, count=n)
+    order = np.lexsort((np.arange(n), row))
+    eligible = capacities[order] + _ZERO >= loads.max()
+    covered = np.cumsum(np.where(eligible, capacities[order], 0.0))
+    cut = int(np.searchsorted(covered, loads.sum() * _COVER_SLACK)) + 1
+    if cut >= n:
+        return None
+    nodes = network.nodes
+    return [nodes[i] for i in order[:cut].tolist()]
+
+
 def _filter_fractions(
     raw: np.ndarray, alpha: float
 ) -> np.ndarray:
@@ -540,7 +586,6 @@ def solve_ssqpp(
     lp_method: str = "highs",
     formulation: str = "prefix",
     metric: "object | None" = None,
-    placement_nodes: "list[Node] | tuple[Node, ...] | None" = None,
     scale: str | None = None,
 ) -> SSQPPResult:
     """Solve the Single-Source Quorum Placement Problem approximately.
@@ -553,12 +598,15 @@ def solve_ssqpp(
     ``alpha = 2`` recovers Theorem 3.12 (delay within twice the LP bound,
     load within three times capacity).
 
-    ``metric`` and ``placement_nodes`` thread straight to
-    :class:`SSQPPLPFactory`: a lazy metric avoids the dense all-pairs
-    build, and a restricted domain shrinks the LP for large networks.
-    With ``placement_nodes`` set, ``lp_value`` bounds only the
-    *restricted* problem — it is **not** a lower bound on the
-    unrestricted optimum.
+    The LP, the filtering and the rounding run on the capacity-covering
+    prefix ``P(v0)`` of the source's distance order
+    (:func:`_covering_prefix`): the shortest prefix whose nodes able to
+    host the heaviest element cover the total load.  Its LP optimum
+    equals that of the LP over every node, so ``lp_value`` is the exact
+    ``Z*`` while the LP has ``|P|`` instead of ``n`` distance ranks.
+
+    ``metric`` threads straight to :class:`SSQPPLPFactory`: a lazy
+    metric avoids the dense all-pairs build.
 
     ``scale="large"`` is shorthand for ``metric=network.lazy_metric()``
     (the shared ``scale=`` gate, ``docs/api.md``): distances stream
@@ -575,17 +623,24 @@ def solve_ssqpp(
     network.node_index(source)
     if scale == "large" and metric is None:
         metric = network.lazy_metric()
+    view = metric if metric is not None else network.metric()
+    loads = strategy.load_array()
+    domain = _covering_prefix(network, view.distances_from(source), loads)
 
     factory = SSQPPLPFactory(
         system,
         strategy,
         network,
         formulation=formulation,
-        metric=metric,
-        placement_nodes=placement_nodes,
+        metric=view,
+        placement_nodes=domain,
     )
     with span(
-        "ssqpp.solve", source=source, alpha=alpha, formulation=formulation
+        "ssqpp.solve",
+        source=source,
+        alpha=alpha,
+        formulation=formulation,
+        domain=network.size if domain is None else len(domain),
     ):
         model, x_element, x_quorum, ordered_nodes, distances = factory.attach(source)
         with span("ssqpp.lp"):
@@ -599,7 +654,6 @@ def solve_ssqpp(
         with span("ssqpp.filter"):
             filtered = _filter_fractions(raw, alpha)
 
-        loads = strategy.load_array()
         capacities = np.array([network.capacity(node) for node in ordered_nodes])
         # GAP view: machines are nodes in distance order, jobs are elements.
         costs = np.full((n, len(universe)), math.inf)

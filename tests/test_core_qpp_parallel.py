@@ -107,7 +107,6 @@ def test_worker_matches_inline_single_source_solve(bench_instance):
     source = candidates[0]
     via_worker = _solve_candidate(
         source,
-        None,
         system=system,
         strategy=strategy,
         network=network,

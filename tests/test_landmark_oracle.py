@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import solve_qpp
+from repro.core import solve_qpp, solve_qpp_exact
 from repro.exceptions import ValidationError
 from repro.network import (
     LandmarkOracle,
@@ -119,7 +119,6 @@ class TestPrunedSweep:
             system,
             strategy,
             candidate_sources=candidates,
-            horizon=None,
             prune=True,
         )
         skipped = counter("qpp.prune.skipped").value
@@ -129,7 +128,6 @@ class TestPrunedSweep:
             system,
             strategy,
             candidate_sources=candidates,
-            horizon=None,
             prune=False,
         )
         assert pruned.source == unpruned.source
@@ -142,9 +140,9 @@ class TestPrunedSweep:
         assert evaluated >= 1
 
     def test_large_path_matches_dense_path(self):
-        """Full-domain (horizon=None) large solve agrees with the dense
-        solver up to metric-symmetry rounding (last-ulp; the realized
-        evaluation transposes d(v, f(u)) into d(f(u), v))."""
+        """An all-node large solve agrees with the dense solver up to
+        metric-symmetry rounding (last-ulp; the realized evaluation
+        transposes d(v, f(u)) into d(f(u), v))."""
         network, system, strategy = _instance(5, n=20)
         candidates = list(network.nodes)
         dense = solve_qpp(
@@ -159,24 +157,28 @@ class TestPrunedSweep:
             system,
             strategy,
             candidate_sources=candidates,
-            horizon=None,
         )
         assert large.source == dense.source
         assert large.objective == pytest.approx(dense.objective, rel=1e-12)
         assert large.placement.as_dict() == dense.placement.as_dict()
-        # Unrestricted sweep keeps the Theorem 3.3 certified lower bound.
+        # Every node is a candidate, so both report the Thm 3.3 bound too.
         assert large.optimum_lower_bound == pytest.approx(
             dense.optimum_lower_bound, rel=1e-12
         )
 
-    def test_horizon_restriction_voids_the_lower_bound(self):
-        """A restricted placement domain makes the Theorem 3.3 bound
-        unsound (restricted LP optimum >= Z*), so the solver must report
-        0.0 rather than an invalid certificate."""
-        network, system, strategy = _instance(9)
-        restricted = _solve_large(network, system, strategy, horizon="auto")
-        assert restricted.optimum_lower_bound == 0.0
-        assert restricted.provenance.algorithm == "qpp.relay-sweep-large"
+    def test_landmark_sweep_bound_stays_below_the_optimum(self):
+        """With fewer landmarks than nodes the Thm 3.3 minimum does not
+        apply; the reported bound must still not exceed the optimum."""
+        network = uniform_capacities(
+            random_geometric_network(8, 0.6, rng=np.random.default_rng(9)), 1.0
+        )
+        system = majority(3)
+        strategy = AccessStrategy.uniform(system)
+        result = _solve_large(network, system, strategy, landmarks=3)
+        exact = solve_qpp_exact(system, strategy, network=network)
+        assert len(result.per_source) == 3
+        assert result.provenance.algorithm == "qpp.relay-sweep-large"
+        assert 0.0 <= result.optimum_lower_bound <= exact.objective * (1 + 1e-9)
 
     def test_scale_argument_validated(self):
         network, system, strategy = _instance(3, n=10)
