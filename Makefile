@@ -60,6 +60,12 @@ bench:
 # End-to-end smoke of the serving layer (docs/serving.md): a short
 # scripted JSONL session through `repro serve` — queries, a demand
 # update, a forced re-solve — that must exit 0 (no error responses).
+# SERVE_WRAP runs it under another command and SERVE_ARGS adds serve
+# options; CI profiles it with
+#   make serve-smoke SERVE_WRAP="profile --json --report-out serve-telemetry.json" \
+#     SERVE_ARGS="--out serve-responses.jsonl"
+SERVE_WRAP ?=
+SERVE_ARGS ?=
 serve-smoke:
 	printf '%s\n' \
 	  '{"kind": "repro-serve-request", "schema_version": 1, "id": 1, "op": "query", "client": 0}' \
@@ -67,7 +73,7 @@ serve-smoke:
 	  '{"kind": "repro-serve-request", "schema_version": 1, "id": 3, "op": "query", "client": 1}' \
 	  '{"kind": "repro-serve-request", "schema_version": 1, "id": 4, "op": "resolve"}' \
 	  '{"kind": "repro-serve-request", "schema_version": 1, "id": 5, "op": "stats"}' \
-	  | $(PYTHON) -m repro serve majority:3 cycle:12 --capacity 2.0 --max-batch 2
+	  | $(PYTHON) -m repro $(SERVE_WRAP) serve majority:3 cycle:12 --capacity 2.0 --max-batch 2 $(SERVE_ARGS)
 
 # The bench trajectory ratchet (docs/performance.md): run the suite
 # fresh and compare its timing trajectory against the committed

@@ -266,7 +266,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         scale=args.scale,
         landmarks=args.landmarks,
-        warm_limit=args.warm_limit,
     )
     source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     sink = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
@@ -625,9 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="requests drained per tick (default 64)")
     p_serve.add_argument("--queue-limit", type=int, default=4096,
                          help="bounded request queue size (default 4096)")
-    p_serve.add_argument("--warm-limit", type=int, default=None,
-                         help="restrict re-solves to the N best relay "
-                         "candidates of the previous solve")
     p_serve.add_argument("--input", default="-",
                          help="JSONL request file, or - for stdin")
     p_serve.add_argument("--out", default="-",

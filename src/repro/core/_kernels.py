@@ -18,16 +18,12 @@ memory notes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .._validation import contract, cost, require
-from ..quorums.base import QuorumSystem
 
 __all__ = [
-    "quorum_member_matrix",
     "expected_max_delays",
     "expected_total_delays",
     "node_load_vector",
@@ -39,35 +35,6 @@ __all__ = [
 #: :func:`expected_max_delays`; larger workloads are processed in quorum
 #: chunks so memory stays bounded (see docs/performance.md).
 _MAX_BLOCK_ELEMENTS = 1 << 22
-
-
-@contract(returns={"shape": ("s", "L"), "dtype": "int"})
-@cost("n * q")
-def quorum_member_matrix(
-    system: QuorumSystem, quorum_indices: Sequence[int]
-) -> NDArray[np.intp]:
-    """Padded element-index rows for the selected quorums.
-
-    Row ``i`` lists the universe indices of the members of quorum
-    ``quorum_indices[i]``, padded on the right with the row's first
-    member so every row has equal width — padding repeats a real member,
-    which leaves max-reductions unchanged.
-
-    Returns an integer array of shape ``(len(quorum_indices), L_max)``.
-    """
-    require(isinstance(system, QuorumSystem), "system must be a QuorumSystem")
-    indices = [int(q) for q in quorum_indices]
-    require(len(indices) > 0, "at least one quorum index is required")
-    rows: list[list[int]] = []
-    for q in indices:
-        require(0 <= q < len(system), f"quorum index {q} out of range [0, {len(system)})")
-        rows.append(sorted(system.element_index(u) for u in system.quorums[q]))
-    width = max(len(row) for row in rows)
-    members = np.empty((len(rows), width), dtype=np.intp)
-    for i, row in enumerate(rows):
-        members[i, : len(row)] = row
-        members[i, len(row) :] = row[0]
-    return members
 
 
 @contract(
@@ -105,8 +72,9 @@ def expected_max_delays(
     image_indices:
         ``(U,)`` node index of ``f(u)`` per universe element.
     members:
-        ``(s, L)`` padded member rows from :func:`quorum_member_matrix`,
-        one row per supported quorum.
+        ``(s, L)`` padded member rows from
+        :func:`repro.quorums.strategy.quorum_member_matrix`, one row per
+        supported quorum.
     probabilities:
         ``(s,)`` strictly positive access probabilities aligned with the
         member rows (the strategy's support).

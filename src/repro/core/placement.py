@@ -36,7 +36,6 @@ from ._kernels import (
     expected_total_delays,
     max_capacity_factor,
     node_load_vector,
-    quorum_member_matrix,
 )
 
 if TYPE_CHECKING:
@@ -189,22 +188,17 @@ def _client_weights(network: Network, rates: Mapping[Node, float] | None) -> np.
 # -- max-delay quantities ------------------------------------------------------------
 
 
-def _support_arrays(
-    placement: Placement, strategy: AccessStrategy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Padded member rows + probabilities for the strategy's support, the
+def _support_arrays(strategy: AccessStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """The strategy's cached support rows
+    (:meth:`~repro.quorums.strategy.AccessStrategy.support_rows`), the
     inputs :func:`repro.core._kernels.expected_max_delays` consumes.
-
-    The support slice of a validated strategy still sums to one, because
-    every off-support probability is exactly zero.
+    Callers check the placement's system first (:func:`_check_strategy`),
+    so the rows index it too.
 
     contract: return[0]: shape (s, L), dtype int
     contract: return[1]: shape (s,), dtype float, simplex
     """
-    support = strategy.support()
-    members = quorum_member_matrix(placement.system, support)
-    probabilities = strategy.probabilities[np.asarray(support, dtype=np.intp)]
-    return members, probabilities
+    return strategy.support_rows()
 
 
 def max_delay(placement: Placement, client: Node, quorum_index: int) -> float:
@@ -238,7 +232,7 @@ def expected_max_delay(
     if metric is None:
         metric = placement.network.metric()
     row = metric.distances_from(client)[np.newaxis, :]
-    members, probabilities = _support_arrays(placement, strategy)
+    members, probabilities = _support_arrays(strategy)
     return float(
         expected_max_delays(
             row, placement.image_node_indices(), members, probabilities
@@ -287,7 +281,7 @@ def _per_client_expected_max_delay(
     _check_strategy(placement, strategy)
     if metric is None:
         metric = placement.network.metric()
-    members, probabilities = _support_arrays(placement, strategy)
+    members, probabilities = _support_arrays(strategy)
     image = placement.image_node_indices()
     matrix = getattr(metric, "matrix", None)
     if matrix is not None:
@@ -357,7 +351,7 @@ def average_max_delay_via_sources(
     comparisons are unaffected.
     """
     _check_strategy(placement, strategy)
-    members, probabilities = _support_arrays(placement, strategy)
+    members, probabilities = _support_arrays(strategy)
     image = placement.image_node_indices()
     unique, inverse = np.unique(image, return_inverse=True)
     nodes = placement.network.nodes
@@ -388,7 +382,7 @@ def average_max_delay_bounds(
     sweep discard hopeless relay sources before pulling real rows.
     """
     _check_strategy(placement, strategy)
-    members, probabilities = _support_arrays(placement, strategy)
+    members, probabilities = _support_arrays(strategy)
     image = placement.image_node_indices()
     unique, inverse = np.unique(image, return_inverse=True)
     lower_columns, upper_columns = oracle.bounds_columns(unique)
@@ -609,9 +603,12 @@ def is_capacity_respecting(
 
 
 def _check_strategy(placement: Placement, strategy: AccessStrategy) -> None:
-    if strategy.system != placement.system:
+    # The evaluators index the placement's system by the strategy's
+    # positions (support_rows), so equal quorum sets are not enough.
+    if not strategy.system.same_layout(placement.system):
         raise ValidationError(
-            "strategy and placement refer to different quorum systems"
+            "strategy and placement refer to different quorum systems "
+            "(or list the quorums in a different order)"
         )
 
 

@@ -9,7 +9,11 @@ strategy costs at most 5x the optimum; Theorem 3.3 turns any
 ``5 beta``-approximation for QPP.  Since ``v0`` is unknown, the paper
 prescribes running the single-source algorithm from *every* node and
 keeping the best placement — which is what :func:`solve_qpp` does
-(optionally over a restricted candidate set for speed).
+(optionally over a restricted candidate set for speed).  Client rates
+(§6) weight only that final choice and the lower bound below, never the
+single-source solves, so a result's ``per_source`` passed back as
+``solve_qpp(per_source=...)`` re-selects under new rates without solving
+an LP.
 
 The returned result also carries a *certified lower bound* on the QPP
 optimum ``OPT = Avg_v Delta_{f*}(v)`` that holds for any candidate set
@@ -33,7 +37,7 @@ when exhaustive search is out of reach.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -95,8 +99,10 @@ class QPPResult(SolveResult):
         A certified lower bound on the optimal capacity-respecting
         average delay (see module docstring).
     per_source:
-        The single-source result obtained from every candidate source,
-        keyed by source node (useful for diagnostics and ablations).
+        The single-source result of every candidate source, keyed by
+        source node, in sweep order.  Rates never reach the single-source
+        solves, so passing this back as ``solve_qpp(per_source=...)``
+        re-selects under new rates without solving an LP.
     """
 
     source: Node
@@ -168,6 +174,7 @@ def solve_qpp(
     scale: str | None = None,
     landmarks: int = 16,
     prune: bool = True,
+    per_source: Mapping[Node, SSQPPResult] | None = None,
 ) -> QPPResult:
     """Solve the Quorum Placement Problem (Theorem 1.2).
 
@@ -223,6 +230,19 @@ def solve_qpp(
         oracle *lower* bound already matches or exceeds the incumbent.
         Never changes the returned placement, objective, or source
         (test-asserted); set ``False`` to force every exact evaluation.
+    per_source:
+        Earlier single-source results (a previous result's
+        ``per_source``) of the same system, strategy, network, ``alpha``,
+        ``lp_method`` and ``formulation``.  A candidate found here is
+        evaluated but not solved again; only the missing candidates are
+        solved (by the pool too, which is not started when none are), and
+        the ``qpp.reused`` counter counts the reuses.  Single-source
+        solves never see ``rates``, so a full re-selection under new rates
+        returns what a fresh solve would, without an LP.  An entry whose
+        key, ``source``, ``alpha``, network or system disagrees with the
+        call raises :class:`~repro.exceptions.ValidationError`; the
+        strategy, LP method and formulation are not recorded in a result
+        and are the caller's to keep.
     """
     check_positive(alpha - 1.0, "alpha - 1")
     require(
@@ -298,6 +318,9 @@ def solve_qpp(
     # The Thm 3.3 bound holds only as a minimum over every node.
     every_node = len(candidates) == network.size
     weights = _client_weights(network, rates)
+    reused = per_source or {}
+    _check_reusable(reused, system, network, alpha)
+    missing = [node for node in candidates if node not in reused]
     solve = partial(
         _solve_candidate,
         system=system,
@@ -316,24 +339,31 @@ def solve_qpp(
     # lower bound on Delta_{f*}(v) for any candidate set.
     reach = np.zeros(network.size)
     relay_bound = float("inf") if every_node else 0.0
-    per_source: dict[Node, SSQPPResult] = {}
+    swept: dict[Node, SSQPPResult] = {}
 
     with telemetry_scope() as telemetry, span(
         "qpp.sweep",
         scale="large" if large else "dense",
         candidates=len(candidates),
+        reused=len(candidates) - len(missing),
         alpha=alpha,
     ):
         # map() is lazy, so the serial sweep solves and evaluates one
         # candidate at a time (a lazy metric pulls rows in that order).
-        results: Iterable[SSQPPResult]
-        if parallel == "process":
+        solved: Iterator[SSQPPResult]
+        if parallel == "process" and missing:
             with ProcessPoolExecutor(max_workers=max_workers) as executor:
-                results = list(executor.map(solve, candidates))
+                solved = iter(list(executor.map(solve, missing)))
         else:
-            results = map(solve, candidates)
-        for source, result in zip(candidates, results):
-            per_source[source] = result
+            solved = map(solve, missing)
+        reuses = counter("qpp.reused")
+        for source in candidates:
+            if source in reused:
+                reuses.inc()
+                result = reused[source]
+            else:
+                result = next(solved)
+            swept[source] = result
             row = view.distances_from(source)
             np.maximum(reach, result.lp_value - row, out=reach)
             if every_node:
@@ -358,28 +388,62 @@ def solve_qpp(
         approximation_factor=5.0 * alpha / (alpha - 1.0),
         load_factor_bound=alpha + 1.0,
         optimum_lower_bound=max(float(weights @ reach), relay_bound),
-        per_source=per_source,
+        per_source=swept,
         telemetry=telemetry.snapshot,
     )
 
 
+def _check_reusable(
+    per_source: Mapping[Node, SSQPPResult],
+    system: QuorumSystem,
+    network: Network,
+    alpha: float,
+) -> None:
+    """Refuse an entry of *per_source* that belongs to another sweep."""
+    for node, result in per_source.items():
+        network.node_index(node)
+        placement = result.placement
+        require(
+            result.source == node,
+            f"per_source[{node!r}] is the result of source {result.source!r}",
+        )
+        require(
+            result.alpha == alpha,
+            f"per_source[{node!r}] was solved with alpha={result.alpha!r}, not {alpha!r}",
+        )
+        require(
+            placement.system.same_layout(system),
+            f"per_source[{node!r}] places another quorum system",
+        )
+        # A pooled sweep's results carry unpickled copies of the network.
+        require(
+            placement.network is network or _same_network(placement.network, network),
+            f"per_source[{node!r}] was solved on another network",
+        )
+
+
+def _same_network(first: Network, second: Network) -> bool:
+    return (
+        first.nodes == second.nodes
+        and first.capacities() == second.capacities()
+        and first.adjacency == second.adjacency
+    )
+
+
 def warm_candidates(previous: QPPResult, *, limit: int = 8) -> list[Node]:
-    """Candidate sources for an incremental re-solve, best-first.
+    """Candidate sources for a restricted re-solve, best-first.
 
-    The relay-sweep structure is what makes QPP re-solves incremental:
-    when the access distribution drifts, the best relay node rarely
-    jumps far, so re-running :func:`solve_qpp` over the most promising
-    relays of the *previous* solve (its winner first, then the other
-    swept candidates ordered by their single-source delay at the relay)
-    recovers near-identical quality at a fraction of the sweep cost.
-    The serving layer (:mod:`repro.serve`) passes the returned list as
-    ``candidate_sources=`` on drift-triggered re-solves.
+    The most promising relays of the *previous* solve: its winner
+    first, then the other swept candidates ordered by their
+    single-source delay at the relay.  Passed as ``candidate_sources=``,
+    the list re-solves only those candidates.
 
-    Note the usual restricted-sweep caveat (see ``candidate_sources``
-    above): the Theorem 1.2 guarantee is relative to the best candidate
-    *in the list*, so a warm re-solve trades the exhaustive-sweep bound
-    for speed, and its certified lower bound is the weaker one that
-    holds for any candidate set.
+    :mod:`repro.serve` no longer uses it: a re-solve under new rates
+    passes the previous result's ``per_source`` to :func:`solve_qpp`
+    instead, which keeps every candidate and solves no LP.  A restricted
+    list trades the Theorem 1.2 guarantee for speed (see
+    ``candidate_sources``), and its certified lower bound is the weaker
+    one that holds for any candidate set.
     """
     check_integer_in_range(limit, "limit", low=1)
     require(

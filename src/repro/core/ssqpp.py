@@ -206,7 +206,10 @@ class SSQPPLPFactory:
             raise ValidationError(
                 f"unknown formulation {formulation!r}; use 'prefix' or 'cumulative'"
             )
-        require(strategy.system == system, "strategy does not match the quorum system")
+        require(
+            strategy.system.same_layout(system),
+            "strategy does not match the quorum system (or its quorum order)",
+        )
         self._system = system
         self._strategy = strategy
         self._network = network

@@ -122,8 +122,8 @@ def solve_total_delay(
     up to floating-point summation order.
     """
     require(
-        strategy.system == system,
-        "strategy does not match the quorum system",
+        strategy.system.same_layout(system),
+        "strategy does not match the quorum system (or its quorum order)",
     )
     check_scale(scale)
     with telemetry_scope() as telemetry, span(

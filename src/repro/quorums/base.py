@@ -127,6 +127,18 @@ class QuorumSystem:
     def __hash__(self) -> int:
         return hash(frozenset(self._quorums))
 
+    def same_layout(self, other: "QuorumSystem") -> bool:
+        """Whether *other* lists the same quorums and universe in the same
+        order, so that a quorum or element position means the same in both.
+
+        ``==`` compares quorum *sets*; a strategy's probabilities and the
+        evaluators index :attr:`quorums` and :attr:`universe` by position,
+        so pairing a strategy with a system needs this stricter test.
+        """
+        return self is other or (
+            self._quorums == other._quorums and self._universe == other._universe
+        )
+
     def __repr__(self) -> str:
         return (
             f"QuorumSystem(name={self.name!r}, quorums={len(self)}, "

@@ -22,12 +22,43 @@ import numpy as np
 from .._validation import (
     PROBABILITY_TOLERANCE,
     check_nonnegative,
+    contract,
+    cost,
     require,
 )
 from ..exceptions import ValidationError
 from .base import Element, QuorumSystem
 
-__all__ = ["AccessStrategy"]
+__all__ = ["AccessStrategy", "quorum_member_matrix"]
+
+
+@contract(returns={"shape": ("s", "L"), "dtype": "int"})
+@cost("n * q")
+def quorum_member_matrix(
+    system: QuorumSystem, quorum_indices: Sequence[int]
+) -> np.ndarray:
+    """Padded element-index rows for the selected quorums.
+
+    Row ``i`` lists the universe indices of the members of quorum
+    ``quorum_indices[i]``, padded on the right with the row's first
+    member so every row has equal width — padding repeats a real member,
+    which leaves max-reductions unchanged.
+
+    Returns an integer array of shape ``(len(quorum_indices), L_max)``.
+    """
+    require(isinstance(system, QuorumSystem), "system must be a QuorumSystem")
+    indices = [int(q) for q in quorum_indices]
+    require(len(indices) > 0, "at least one quorum index is required")
+    rows: list[list[int]] = []
+    for q in indices:
+        require(0 <= q < len(system), f"quorum index {q} out of range [0, {len(system)})")
+        rows.append(sorted(system.element_index(u) for u in system.quorums[q]))
+    width = max(len(row) for row in rows)
+    members = np.empty((len(rows), width), dtype=np.intp)
+    for i, row in enumerate(rows):
+        members[i, : len(row)] = row
+        members[i, len(row) :] = row[0]
+    return members
 
 
 class AccessStrategy:
@@ -49,7 +80,7 @@ class AccessStrategy:
     1.0
     """
 
-    __slots__ = ("_system", "_probabilities", "_loads")
+    __slots__ = ("_system", "_probabilities", "_loads", "_support_rows")
 
     def __init__(self, system: QuorumSystem, probabilities: Sequence[float]) -> None:
         require(isinstance(system, QuorumSystem), "system must be a QuorumSystem")
@@ -72,6 +103,7 @@ class AccessStrategy:
         self._probabilities = probs / total
         self._probabilities.setflags(write=False)
         self._loads: np.ndarray | None = None
+        self._support_rows: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- constructors ---------------------------------------------------------------
 
@@ -136,8 +168,11 @@ class AccessStrategy:
         )
         system = strategies[0].system
         for strategy in strategies[1:]:
-            if strategy.system != system:
-                raise ValidationError("all strategies in a mixture must share one system")
+            if not strategy.system.same_layout(system):
+                raise ValidationError(
+                    "all strategies in a mixture must share one system, "
+                    "with its quorums in the same order"
+                )
         w = np.asarray([check_nonnegative(x, "mixture weight") for x in weights], dtype=float)
         total = float(w.sum())
         if total <= 0:
@@ -165,6 +200,26 @@ class AccessStrategy:
     def support(self) -> tuple[int, ...]:
         """Indices of quorums with strictly positive probability."""
         return tuple(int(i) for i in np.nonzero(self._probabilities > 0)[0])
+
+    def support_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded member rows and probabilities of the support, the inputs
+        of :func:`repro.core._kernels.expected_max_delays`.
+
+        Row ``i`` lists the universe indices of the members of the
+        ``i``-th supported quorum (:func:`quorum_member_matrix`).  Both
+        arrays are built once and read-only; they index every system with
+        this one's layout (:meth:`QuorumSystem.same_layout`).  The
+        probabilities still sum to one, because every off-support
+        probability is exactly zero.
+        """
+        if self._support_rows is None:
+            support = self.support()
+            members = quorum_member_matrix(self._system, support)
+            probabilities = self._probabilities[np.asarray(support, dtype=np.intp)]
+            members.setflags(write=False)
+            probabilities.setflags(write=False)
+            self._support_rows = (members, probabilities)
+        return self._support_rows
 
     # -- loads -----------------------------------------------------------------------
 
@@ -225,8 +280,9 @@ class AccessStrategy:
     # -- comparison ---------------------------------------------------------------------
 
     def allclose(self, other: "AccessStrategy", tolerance: float = 1e-9) -> bool:
-        """True if *other* is the same distribution over the same system."""
-        return self._system == other._system and bool(
+        """True if *other* is the same distribution over the same system,
+        with its quorums in the same order."""
+        return self._system.same_layout(other._system) and bool(
             np.allclose(self._probabilities, other._probabilities, atol=tolerance)
         )
 

@@ -16,6 +16,13 @@
   product against the snapshot's cached per-client vector).  When the
   relative drift exceeds ``drift_threshold``, a re-solve runs and
   atomically publishes the next snapshot version.
+* **Re-solves re-select** — rates never reach the single-source solves,
+  so a re-solve passes the current snapshot's ``per_source`` back to
+  :func:`~repro.core.solve_qpp` with every candidate: each candidate is
+  evaluated under the new demand and no LP runs after construction.
+  Every snapshot is what a fresh full sweep returns for its demand (the
+  Theorem 1.2 guarantee on the dense scale, where every node is a
+  candidate).
 * **Failed re-solves lose nothing** — a re-solve that raises a
   :class:`~repro.exceptions.ReproError` publishes nothing: the current
   snapshot keeps serving, pending updates stay pending (so queries stay
@@ -40,7 +47,7 @@ import numpy as np
 
 from .._validation import check_integer_in_range, check_scale, require
 from ..core.placement import per_client_expected_max_delay
-from ..core.qpp import solve_qpp, warm_candidates
+from ..core.qpp import solve_qpp
 from ..exceptions import ReproError
 from ..obs import counter, gauge, histogram, span
 from ..resilience import fault_point
@@ -77,10 +84,11 @@ class PlacementService:
     Parameters mirror :func:`repro.core.solve_qpp` where they are
     forwarded to it (``alpha``, ``scale``, ``landmarks``, ``lp_method``,
     ``formulation``); the serving knobs are ``drift_threshold``
-    (relative objective drift that triggers a re-solve), ``max_batch`` /
-    ``queue_limit`` (batching bounds), and ``warm_limit`` (re-solves
-    restrict the candidate sweep to the best sources of the previous
-    solve).
+    (relative objective drift that triggers a re-solve) and
+    ``max_batch`` / ``queue_limit`` (batching bounds).  The constructor
+    runs the one full sweep; every re-solve re-selects among its
+    candidates under the current demand.  ``warm_limit`` is validated
+    but has no effect: re-selection needs no restricted candidate list.
     """
 
     def __init__(
@@ -120,7 +128,6 @@ class PlacementService:
         self._landmarks = int(landmarks)
         self._lp_method = lp_method
         self._formulation = formulation
-        self._warm_limit = warm_limit
         self._view = network.lazy_metric() if scale == "large" else None
         self._node_index: dict[Any, int] = {
             node: index for index, node in enumerate(network.nodes)
@@ -150,7 +157,7 @@ class PlacementService:
         self._exact_reads = 0
         self._resolves = 0
         self._resolve_failures = 0
-        self._publish(rates if rates is not None else None, candidates=None)
+        self._publish(rates if rates is not None else None, per_source=None)
 
     # -- public read-only state ------------------------------------------
 
@@ -215,7 +222,10 @@ class PlacementService:
     # -- solve / publish -------------------------------------------------
 
     def _publish(
-        self, rates: Mapping[Any, float] | None, *, candidates: Any
+        self,
+        rates: Mapping[Any, float] | None,
+        *,
+        per_source: Mapping[Any, Any] | None,
     ) -> PlacementSnapshot:
         fault_point("serve.resolve")
         result = solve_qpp(
@@ -224,11 +234,12 @@ class PlacementService:
             network=self._network,
             alpha=self._alpha,
             rates=rates,
-            candidate_sources=candidates,
+            candidate_sources=None,
             lp_method=self._lp_method,
             formulation=self._formulation,
             scale=self._scale,
             landmarks=self._landmarks,
+            per_source=per_source,
         )
         per_client = per_client_expected_max_delay(
             result.placement, self._strategy, metric=self._view
@@ -250,18 +261,19 @@ class PlacementService:
         return snapshot
 
     def _resolve_now(self) -> PlacementSnapshot:
-        """Re-solve and publish the next snapshot.
+        """Re-select under the current demand and publish the next snapshot.
 
+        The current snapshot's single-source results are reused for every
+        candidate, so this evaluates each candidate once and solves no LP.
         A :class:`~repro.exceptions.ReproError` publishes nothing and
         leaves the pending updates pending; it is counted and re-raised.
         """
         previous = self._cache.current.result
-        candidates = None
-        if self._warm_limit is not None and getattr(previous, "per_source", None):
-            candidates = warm_candidates(previous, limit=self._warm_limit)
         try:
             with span("serve.resolve", version=self._cache.version):
-                snapshot = self._publish(self._effective_rates(), candidates=candidates)
+                snapshot = self._publish(
+                    self._effective_rates(), per_source=previous.per_source
+                )
         except ReproError:
             self._resolve_failures += 1
             _RESOLVE_FAILURES.inc()

@@ -3,10 +3,11 @@
 One request document per input line, one response document per output
 line, in order.  Requests are batched: the service ticks whenever the
 queue reaches ``max_batch`` pending requests, and drains completely at
-end of input.  Output is deterministic — ``json.dumps(sort_keys=True)``
-plus tick/version stamps instead of wall-clock values — so a seeded
-session replays byte-identically (the property
-``tests/test_serve_session.py`` locks in).
+end of input and before answering a line it cannot enqueue.  Output is
+deterministic — ``json.dumps(sort_keys=True)`` plus tick/version stamps
+instead of wall-clock values — so a seeded session replays
+byte-identically (the property ``tests/test_serve_session.py`` locks
+in).
 """
 
 from __future__ import annotations
@@ -55,6 +56,18 @@ def serve_session(
             responses += 1
             _write(out, response)
 
+    def drain() -> None:
+        while service.queue_depth:
+            flush_tick()
+
+    def reject(message: str, request: dict[str, Any] | None = None) -> None:
+        nonlocal responses, errors
+        # Requests still queued come first, so responses keep input order.
+        drain()
+        errors += 1
+        responses += 1
+        _write(out, service.error_response(message, request=request))
+
     for raw in lines:
         line = raw.strip()
         if not line:
@@ -63,22 +76,16 @@ def serve_session(
         try:
             document = json.loads(line)
         except json.JSONDecodeError as exc:
-            errors += 1
-            responses += 1
-            _write(out, service.error_response(f"invalid JSON: {exc.msg}"))
+            reject(f"invalid JSON: {exc.msg}")
             continue
         try:
             service.submit(document)
         except ValidationError as exc:
-            errors += 1
-            responses += 1
-            request = document if isinstance(document, dict) else None
-            _write(out, service.error_response(str(exc), request=request))
+            reject(str(exc), document if isinstance(document, dict) else None)
             continue
         if service.queue_depth >= service.max_batch:
             flush_tick()
-    while service.queue_depth:
-        flush_tick()
+    drain()
     out.flush()
     return SessionSummary(
         requests=requests,

@@ -14,6 +14,7 @@ from repro.core import (
     average_total_delay,
     capacity_violation_factor,
     expected_max_delay,
+    expected_max_delay_reference,
     expected_total_delay,
     is_capacity_respecting,
     make_placement,
@@ -116,6 +117,24 @@ class TestMaxDelay:
         other = AccessStrategy.uniform(QuorumSystem([{0, 1}]))
         with pytest.raises(ValidationError, match="different"):
             expected_max_delay(placement, other, 0)
+
+    def test_equal_system_in_another_quorum_order_is_rejected(self):
+        """An equal system that lists its quorums in another order would
+        be indexed by the strategy's positions: on the reordered system
+        the 0.8 quorum becomes {2, 3} and the delay reads 2.48, not 3.04."""
+        listed = QuorumSystem([{1, 2}, {2, 3}, {1, 3}])
+        reordered = QuorumSystem([{2, 3}, {1, 2}, {1, 3}])
+        assert listed == reordered
+        strategy = AccessStrategy(listed, [0.8, 0.1, 0.1])
+        network = path_network(5)
+        hosts = [0, 4, 2]
+        own = Placement(listed, network, dict(zip(listed.universe, hosts)))
+        assert average_max_delay(own, strategy) == pytest.approx(3.04)
+        other = Placement(reordered, network, dict(zip(reordered.universe, hosts)))
+        with pytest.raises(ValidationError, match="order"):
+            average_max_delay(other, strategy)
+        with pytest.raises(ValidationError, match="order"):
+            expected_max_delay_reference(other, strategy, 0)
 
 
 class TestTotalDelay:

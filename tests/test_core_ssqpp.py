@@ -44,6 +44,18 @@ class TestLPRelaxation:
         with pytest.raises(ValidationError):
             build_ssqpp_lp(system, other, path_network(3), 0)
 
+    def test_equal_system_in_another_quorum_order_is_rejected(self):
+        """The LP reads the strategy's probabilities by quorum position:
+        on the reordered system Z* would read 0.273 instead of 0.5."""
+        listed = QuorumSystem([{1, 2}, {2, 3}, {1, 3}])
+        reordered = QuorumSystem([{2, 3}, {1, 2}, {1, 3}])
+        strategy = AccessStrategy(listed, [0.8, 0.1, 0.1])
+        network = path_network(5).with_capacities(1.0)
+        result = solve_ssqpp(listed, strategy, network=network, source=0)
+        assert result.lp_value == pytest.approx(0.5)
+        with pytest.raises(ValidationError, match="order"):
+            solve_ssqpp(reordered, strategy, network=network, source=0)
+
 
 class TestFiltering:
     def test_filtering_moves_mass_toward_source(self):

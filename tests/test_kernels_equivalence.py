@@ -35,10 +35,10 @@ from repro.core._kernels import (
     expected_max_delays,
     expected_total_delays,
     node_load_vector,
-    quorum_member_matrix,
 )
 from repro.network import Network
 from repro.quorums import AccessStrategy, QuorumSystem
+from repro.quorums.strategy import quorum_member_matrix
 
 from repro.core import Placement
 

@@ -112,6 +112,16 @@ class TestMixture:
         with pytest.raises(ValidationError, match="share one system"):
             AccessStrategy.mixture([a, b], [1, 1])
 
+    def test_mixture_rejects_an_equal_system_in_another_quorum_order(self, pair_system):
+        # Probabilities add by position, so {1,2} and {2,3} would be mixed up.
+        reordered = QuorumSystem([{2, 3}, {1, 2}])
+        assert reordered == pair_system
+        a = AccessStrategy.point_mass(pair_system, 0)
+        b = AccessStrategy.point_mass(reordered, 0)
+        with pytest.raises(ValidationError, match="same order"):
+            AccessStrategy.mixture([a, b], [1, 1])
+        assert not a.allclose(b)
+
     def test_mixture_weight_validation(self, pair_system):
         a = AccessStrategy.uniform(pair_system)
         with pytest.raises(ValidationError):

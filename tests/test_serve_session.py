@@ -222,8 +222,6 @@ class TestServeAcceptance:
                 "large",
                 "--landmarks",
                 "6",
-                "--warm-limit",
-                "2",
                 "--drift-threshold",
                 "0.05",
                 "--max-batch",

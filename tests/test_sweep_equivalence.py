@@ -11,7 +11,8 @@ formulations, the serial and the pooled sweep, the landmark and the
 all-node candidates of the large sweep, a rate-weighted solve and a warm
 re-solve, so a
 change to how the sweep is organised either reproduces every pinned value
-or shows which case moved.
+or shows which case moved.  Re-selection (``per_source=``, wholly or
+partly reused) must reproduce the same records without their LPs.
 
 The paper's guarantees are asserted on every result as well: Theorem 3.7
 for each candidate (delay within ``alpha/(alpha-1) * Z*``, load within
@@ -26,14 +27,18 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import solve_qpp
+from repro.core import Placement, solve_qpp
+from repro.core import qpp as qpp_module
 from repro.core.qpp import warm_candidates
+from repro.exceptions import ValidationError
 from repro.network import random_geometric_network
-from repro.quorums import AccessStrategy, grid, majority
+from repro.quorums import AccessStrategy, QuorumSystem, grid, majority
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
@@ -66,6 +71,13 @@ def instances():
         name: _instance(system(), n, radius, seed)
         for name, (system, n, radius, seed) in INSTANCES.items()
     }
+
+
+@pytest.fixture(scope="module")
+def dense_sweep(instances):
+    """The recorded ``dense-prefix-serial`` sweep, whose ``per_source``
+    the re-selection tests reuse."""
+    return _solve(instances, "dense-prefix-serial")
 
 
 def _rates(network):
@@ -368,3 +380,127 @@ def test_warm_resolve_reproduces_recorded_result(instances):
     _check_guarantees(result, network)
     assert [repr(node) for node in warm] == EXPECTED["dense-warm"]["candidates"]
     assert _record(system, result) == EXPECTED["dense-warm"]["result"]
+
+
+# -- re-selection: per_source reuse -------------------------------------------------
+
+
+def test_reselection_reproduces_the_rate_weighted_record(instances, dense_sweep):
+    """Rates never reach the single-source solves, so re-selecting the
+    uniform sweep's candidates under rates is the pinned rate-weighted
+    solve, with no LP (the telemetry is all zero)."""
+    system, strategy, network = instances["grid3-geo24"]
+    rates = _rates(network)
+    result = solve_qpp(
+        system, strategy, network=network, alpha=2.0, rates=rates,
+        per_source=dense_sweep.per_source,
+    )
+    _check_guarantees(result, network, rates)
+    assert _record(system, result) == dict(EXPECTED["dense-rates"], telemetry=(0, 0, 0, 0))
+    assert result.telemetry.metrics["qpp.reused"] == network.size
+    assert all(result.per_source[node] is dense_sweep.per_source[node] for node in network.nodes)
+
+
+def test_large_reselection_equals_a_fresh_rate_weighted_sweep(instances):
+    system, strategy, network = instances["majority5-geo48"]
+    full = _solve(instances, "large-auto-prefix")
+    rates = _rates(network)
+    fresh = solve_qpp(
+        system, strategy, network=network, alpha=2.0, rates=rates, scale="large"
+    )
+    reselected = solve_qpp(
+        system, strategy, network=network, alpha=2.0, rates=rates, scale="large",
+        per_source=full.per_source,
+    )
+    _check_guarantees(reselected, network, rates)
+    expected, record = _record(system, fresh), _record(system, reselected)
+    # The same candidates are pruned and evaluated; only the LPs are gone.
+    assert record["telemetry"] == (0, 0) + expected["telemetry"][2:]
+    assert {**record, "telemetry": None} == {**expected, "telemetry": None}
+    assert reselected.objective != full.objective  # the rates do move it
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """A process pool that records what each sweep hands it."""
+
+    started = 0
+    mapped: list[list] = []
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+    def map(self, fn, *iterables, **kwargs):
+        items = list(iterables[0])
+        type(self).mapped.append(items)
+        return super().map(fn, items, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "parallel",
+    [None, pytest.param("process", marks=pytest.mark.skipif(
+        not FORK_AVAILABLE, reason="needs fork start method"
+    ))],
+)
+def test_partial_reuse_solves_only_the_missing_candidates(
+    instances, dense_sweep, monkeypatch, parallel
+):
+    system, strategy, network = instances["grid3-geo24"]
+    kept = {node: dense_sweep.per_source[node] for node in network.nodes[::2]}
+    missing = [node for node in network.nodes if node not in kept]
+    monkeypatch.setattr(_RecordingPool, "started", 0)
+    monkeypatch.setattr(_RecordingPool, "mapped", [])
+    monkeypatch.setattr(qpp_module, "ProcessPoolExecutor", _RecordingPool)
+    options = {} if parallel is None else {"parallel": "process", "max_workers": 2}
+    result = solve_qpp(
+        system, strategy, network=network, alpha=2.0, per_source=kept, **options
+    )
+    _check_guarantees(result, network)
+    record = _record(system, result)
+    assert {**record, "telemetry": None} == {**EXPECTED["dense-prefix-serial"], "telemetry": None}
+    # A pool's LP counters stay in its workers.
+    assert record["telemetry"][0] == (0 if parallel else len(missing))
+    assert result.telemetry.metrics["qpp.reused"] == len(kept)
+    assert list(result.per_source) == list(network.nodes)
+    if parallel:
+        assert _RecordingPool.mapped == [missing]
+    else:
+        assert _RecordingPool.started == 0
+
+    # Nothing missing: the pool is not even started.
+    again = solve_qpp(
+        system, strategy, network=network, alpha=2.0, per_source=result.per_source, **options
+    )
+    assert _record(system, again) == dict(EXPECTED["dense-prefix-serial"], telemetry=(0, 0, 0, 0))
+    assert _RecordingPool.started == (1 if parallel else 0)
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        ("key", "is not a node"),
+        ("source", "is the result of source"),
+        ("alpha", "alpha=3.0"),
+        ("network", "another network"),
+        ("system", "another quorum system"),
+    ],
+)
+def test_per_source_from_another_sweep_is_rejected(instances, dense_sweep, wrong, message):
+    system, strategy, network = instances["grid3-geo24"]
+    source = network.nodes[3]
+    entry = dense_sweep.per_source[source]
+    hosts = entry.placement.as_dict()
+    if wrong == "key":
+        per_source = {"no-such-node": entry}
+    elif wrong == "source":
+        per_source = {network.nodes[4]: entry}
+    elif wrong == "alpha":
+        per_source = {source: replace(entry, alpha=3.0)}
+    elif wrong == "network":
+        other = Placement(system, network.with_capacities(1.0), hosts)
+        per_source = {source: replace(entry, placement=other)}
+    else:
+        reordered = QuorumSystem(list(reversed(system.quorums)))
+        per_source = {source: replace(entry, placement=Placement(reordered, network, hosts))}
+    with pytest.raises(ValidationError, match=message):
+        solve_qpp(system, strategy, network=network, alpha=2.0, per_source=per_source)
